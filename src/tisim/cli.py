@@ -8,10 +8,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import PathSyntaxError, ResolutionError, SimulatorError, UsageError
+from .errors import SimulatorError, UsageError
 from .network import load_network
 from .pathnotation import amplitude, format_expression, parse as parse_paths, sum_amplitudes
-from .scenarios import build_scenario, run_exact, run_mc, scenario_names, verification_checks
+from .scenarios import build_scenario, qle_network, run_exact, run_mc, scenario_names, verification_checks
 
 _DESCRIPTIONS = {
     "ev-bomb": "dark-port interferometer with an optional obstruction (bomb=present|absent)",
@@ -91,12 +91,7 @@ def _cmd_verify(quiet: bool) -> int:
 
 
 def _cmd_path(args) -> int:
-    if args.network:
-        network = load_network(args.network)
-    else:
-        from .scenarios import qle_network
-
-        network = qle_network()
+    network = load_network(args.network) if args.network else qle_network()
     aliases = {}
     for pair in args.alias:
         if "=" not in pair:
@@ -126,9 +121,6 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_verify(args.quiet)
         if args.command == "path":
             return _cmd_path(args)
-    except (UsageError, PathSyntaxError, ResolutionError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except SimulatorError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

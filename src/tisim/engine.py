@@ -30,22 +30,12 @@ from .amplitudes import (
     Space,
     SubsystemSpec,
     dual,
-    norm_sq,
     rebase,
     subsystem_index,
     unit,
 )
 from .errors import ContractError, StructuralError, UsageError, ValidationError
-from .network import (
-    AtomBox,
-    Network,
-    backward_propagate,
-    emitted_state,
-    forward_propagate,
-    validate,
-    _apply_box_forward,
-    _apply_symbol_map,
-)
+from .network import AtomBox, Network, backward_propagate, forward_propagate
 
 LANE_OUTCOME = 0  # final outcome draw; hierarchy stage k draws on lane 1 + k
 
@@ -224,7 +214,7 @@ def _check_context(network: Network, context: MeasurementContext) -> None:
 
 
 def _candidates_from_ket(
-    state: Ket, network: Network, scale: float = 1.0, excited_box: AtomBox | None = None
+    state: Ket, network: Network, excited_box: AtomBox | None = None
 ) -> list[TransactionCandidate]:
     photon_i = subsystem_index(state.space, network.photon.id)
     atom_ids = [a.id for a in network.atoms()]
@@ -239,21 +229,38 @@ def _candidates_from_ket(
             atoms=atoms,
             excited=excited_box.atom if excited_box is not None else None,
         )
-        out.append(TransactionCandidate(outcome, scale * abs(amp) ** 2, amp))
+        out.append(TransactionCandidate(outcome, abs(amp) ** 2, amp))
     return out
 
 
-def enumerate_transactions(network: Network, context: MeasurementContext) -> OutcomeDistribution:
-    """Flat enumeration over the joint outcome space with Born weights."""
+def _hierarchy_stages(network: Network, context: MeasurementContext):
+    """The stage table every enumeration and resolver works from.
+
+    One forward pass, split at the boxes and rebased into the context.
+    Returns ``(stages, final)``: per box in rank order, the probability that
+    it absorbs a photon reaching it (absorbed mass over the mass entering the
+    box) paired with its candidates; then the candidates of the wave that
+    passes every box.  Candidates are in canonical order and carry their
+    unconditioned Born weights.
+    """
     _check_context(network, context)
     trace = forward_propagate(network)
     boxes = {b.id: b for b in network.boxes()}
-    candidates = _candidates_from_ket(_rebase_atoms(trace.continuing, network, context), network)
+    stages = []
+    for (box_id, taken), p_here in zip(trace.absorbed, trace.box_fractions):
+        box = boxes[box_id]
+        rebased = _rebase_atoms(taken, network, context, skip=box.atom)
+        stages.append((p_here, _canonical(_candidates_from_ket(rebased, network, excited_box=box))))
+    final = _canonical(_candidates_from_ket(_rebase_atoms(trace.continuing, network, context), network))
+    return stages, final
+
+
+def _flat(network: Network, context: MeasurementContext, stages, final) -> OutcomeDistribution:
+    """The stage table read as one flat distribution over every terminal outcome."""
+    candidates = list(final)
     if context.include_absorption:
-        for box_id, component in trace.absorbed:
-            box = boxes[box_id]
-            rebased = _rebase_atoms(component, network, context, skip=box.atom)
-            candidates.extend(_candidates_from_ket(rebased, network, excited_box=box))
+        for _, inner_cands in stages:
+            candidates.extend(inner_cands)
     return OutcomeDistribution(
         candidates=_canonical(candidates),
         provenance="flat",
@@ -261,48 +268,33 @@ def enumerate_transactions(network: Network, context: MeasurementContext) -> Out
     )
 
 
+def enumerate_transactions(network: Network, context: MeasurementContext) -> OutcomeDistribution:
+    """Flat enumeration over the joint outcome space with Born weights."""
+    return _flat(network, context, *_hierarchy_stages(network, context))
+
+
 def hierarchical_distribution(network: Network, context: MeasurementContext) -> OutcomeDistribution:
     """Chain-rule enumeration: earlier absorbers get first refusal.
 
     At each box the local absorption probability is the absorbed mass over
-    the remaining mass; on failure the continuing wave is renormalized and
-    propagation resumes.  The resulting distribution matches the flat one.
+    the remaining mass; a component's weight is the probability of reaching
+    its box, times the box's probability, times the component's share of the
+    absorbed mass.  The resulting distribution matches the flat one.
     """
-    _check_context(network, context)
-    diags = validate(network)
-    if diags:
-        raise ValidationError("invalid network: " + "; ".join(map(str, diags)))
-    state = emitted_state(network)
-    photon_i = network.photon_index
+    stages, final = _hierarchy_stages(network, context)
     survival = 1.0
     candidates: list[TransactionCandidate] = []
-    for element in network.ordered():
-        if isinstance(element, AtomBox):
-            before = norm_sq(state)
-            state, taken = _apply_box_forward(network, element, state)
-            p_here = norm_sq(taken) / before if before > 0 else 0.0
-            if p_here > 0.0:
-                rebased = _rebase_atoms(taken, network, context, skip=element.atom)
-                mass = norm_sq(rebased)
-                if context.include_absorption:
-                    for cand in _candidates_from_ket(rebased, network, excited_box=element):
-                        candidates.append(
-                            replace(cand, weight=survival * p_here * (cand.weight / mass))
-                        )
-                survival *= 1.0 - p_here
-                if survival <= 0.0:
-                    state = Ket(state.space, {})
-                else:
-                    state = type(state)(
-                        state.space,
-                        {l: v / math.sqrt(1.0 - p_here) for l, v in state.terms.items()},
-                    )
-        elif hasattr(element, "forward_map"):
-            state = _apply_symbol_map(state, photon_i, element.forward_map())
-    final_mass = norm_sq(state)
+    for p_here, inner_cands in stages:
+        if p_here <= 0.0:
+            continue
+        if context.include_absorption:
+            mass = sum(c.weight for c in inner_cands)
+            for cand in inner_cands:
+                candidates.append(replace(cand, weight=survival * p_here * (cand.weight / mass)))
+        survival *= 1.0 - p_here
+    final_mass = sum(c.weight for c in final)
     if final_mass > 0.0:
-        rebased = _rebase_atoms(state, network, context)
-        for cand in _candidates_from_ket(rebased, network):
+        for cand in final:
             candidates.append(replace(cand, weight=survival * (cand.weight / final_mass)))
     return OutcomeDistribution(
         candidates=_canonical(candidates),
@@ -353,20 +345,24 @@ def echo_weight(network: Network, outcome: Outcome, context: MeasurementContext)
 # -- resolution (sampling) -----------------------------------------------------
 
 
-def _cumulative(weights: Sequence[float]) -> np.ndarray:
-    cum = np.cumsum(np.asarray(weights, dtype=float))
+def _pick(candidates: Sequence[TransactionCandidate], u):
+    """Index of the candidate each uniform in ``u`` selects (inverse CDF)."""
+    cum = np.cumsum(np.asarray([c.weight for c in candidates], dtype=float))
     if cum.size == 0 or cum[-1] <= 0:
         raise ContractError("cannot sample from an empty distribution")
-    return cum / cum[-1]
+    return np.searchsorted(cum / cum[-1], u, side="right")
+
+
+def _tally(candidates: Sequence[TransactionCandidate], u) -> np.ndarray:
+    """Counts per candidate over the uniforms ``u``."""
+    return np.bincount(_pick(candidates, u), minlength=len(candidates)).astype(np.int64)
 
 
 def resolve_flat(dist: OutcomeDistribution, seed: int, trial: int) -> Outcome:
     """Sample one outcome; deterministic in (seed, trial index)."""
     if not dist.candidates:
         raise ContractError("cannot resolve an empty distribution")
-    cum = _cumulative([c.weight for c in dist.candidates])
-    u = rng.uniform(seed, LANE_OUTCOME, trial)
-    return dist.candidates[int(np.searchsorted(cum, u, side="right"))].outcome
+    return dist.candidates[int(_pick(dist.candidates, rng.uniform(seed, LANE_OUTCOME, trial)))].outcome
 
 
 def sample_flat(
@@ -375,29 +371,7 @@ def sample_flat(
     """Counts per candidate for trial indices ``start .. start+trials-1``."""
     if trials < 1:
         raise UsageError("trials must be >= 1")
-    cum = _cumulative([c.weight for c in dist.candidates])
-    u = rng.uniforms(seed, LANE_OUTCOME, start, trials)
-    idx = np.searchsorted(cum, u, side="right")
-    return np.bincount(idx, minlength=len(dist.candidates)).astype(np.int64)
-
-
-def _hierarchy_stages(network: Network, context: MeasurementContext):
-    """Precompute the per-stage conditional tables the hierarchical walk uses."""
-    state = emitted_state(network)
-    photon_i = network.photon_index
-    stages = []
-    for element in network.ordered():
-        if isinstance(element, AtomBox):
-            before = norm_sq(state)
-            state, taken = _apply_box_forward(network, element, state)
-            p_here = norm_sq(taken) / before if before > 0 else 0.0
-            rebased = _rebase_atoms(taken, network, context, skip=element.atom)
-            inner_cands = _candidates_from_ket(rebased, network, excited_box=element)
-            stages.append((p_here, _canonical(inner_cands)))
-        elif hasattr(element, "forward_map"):
-            state = _apply_symbol_map(state, photon_i, element.forward_map())
-    final = _canonical(_candidates_from_ket(_rebase_atoms(state, network, context), network))
-    return stages, final
+    return _tally(dist.candidates, rng.uniforms(seed, LANE_OUTCOME, start, trials))
 
 
 def resolve_hierarchical(
@@ -409,54 +383,42 @@ def resolve_hierarchical(
     the same stream the flat resolver uses, so absorber-free networks resolve
     identically to ``resolve_flat`` trial by trial.
     """
-    _check_context(network, context)
     stages, final = _hierarchy_stages(network, context)
-    remaining = 1.0
     for k, (p_here, inner_cands) in enumerate(stages):
         if p_here <= 0.0:
             continue
         u = rng.uniform(seed, 1 + k, trial)
         if u < p_here:
             # reuse the conditional remainder of u for the within-component pick
-            v = u / p_here
-            cum = _cumulative([c.weight for c in inner_cands])
-            return inner_cands[int(np.searchsorted(cum, v, side="right"))].outcome
-        remaining *= 1.0 - p_here
+            return inner_cands[int(_pick(inner_cands, u / p_here))].outcome
     if not final:
         raise ContractError("no surviving outcomes to resolve")
-    cum = _cumulative([c.weight for c in final])
-    u = rng.uniform(seed, LANE_OUTCOME, trial)
-    return final[int(np.searchsorted(cum, u, side="right"))].outcome
+    return final[int(_pick(final, rng.uniform(seed, LANE_OUTCOME, trial)))].outcome
 
 
 def sample_hierarchical(
     network: Network, context: MeasurementContext, trials: int, seed: int
 ) -> OutcomeDistribution:
     """Vectorized hierarchical sampling; counts align with the flat candidates."""
-    _check_context(network, context)
-    flat = enumerate_transactions(network, context)
-    index_of = {c.outcome: i for i, c in enumerate(flat.candidates)}
     stages, final = _hierarchy_stages(network, context)
+    flat = _flat(network, context, stages, final)
+    index_of = {c.outcome: i for i, c in enumerate(flat.candidates)}
     counts = np.zeros(len(flat.candidates), dtype=np.int64)
+
+    def add(cands, u) -> None:
+        np.add.at(counts, [index_of[c.outcome] for c in cands], _tally(cands, u))
+
     alive = np.arange(trials, dtype=np.int64)
     for k, (p_here, inner_cands) in enumerate(stages):
         if p_here <= 0.0 or alive.size == 0:
             continue
         u = rng.uniforms(seed, 1 + k, 0, trials)[alive]
         fired = u < p_here
-        hit = alive[fired]
-        if hit.size and context.include_absorption:
-            cum = _cumulative([c.weight for c in inner_cands])
-            picks = np.searchsorted(cum, u[fired] / p_here, side="right")
-            for p, n in zip(*np.unique(picks, return_counts=True)):
-                counts[index_of[inner_cands[int(p)].outcome]] += int(n)
+        if fired.any() and context.include_absorption:
+            add(inner_cands, u[fired] / p_here)
         alive = alive[~fired]
     if alive.size:
-        cum = _cumulative([c.weight for c in final])
-        u = rng.uniforms(seed, LANE_OUTCOME, 0, trials)[alive]
-        picks = np.searchsorted(cum, u, side="right")
-        for p, n in zip(*np.unique(picks, return_counts=True)):
-            counts[index_of[final[int(p)].outcome]] += int(n)
+        add(final, rng.uniforms(seed, LANE_OUTCOME, 0, trials)[alive])
     return replace(
         flat, provenance="hierarchical", seed=seed, trials=trials, counts=tuple(int(c) for c in counts)
     )
@@ -541,25 +503,38 @@ def pair_contexts(network: Network, settings: ChshSettings):
         yield key, ctx
 
 
-def _correlation(dist: OutcomeDistribution) -> float:
+def _correlation(candidates: Sequence[TransactionCandidate], weights) -> float:
+    """Sum of ``weights``, signed + where the two atoms' outcomes agree and - where not."""
     e = 0.0
-    for c in dist.candidates:
+    for c, w in zip(candidates, weights):
         s1, s2 = (sym for _, sym in c.outcome.atoms)
-        sign = 1.0 if s1[-1] == s2[-1] else -1.0
-        e += sign * c.weight
+        e += w if s1[-1] == s2[-1] else -w
     return e
+
+
+def _pair_conditionals(
+    network: Network, settings: ChshSettings, post: str
+) -> dict[str, OutcomeDistribution]:
+    """The four post-selected conditional distributions a CHSH run works from."""
+    return {
+        key: post_select(enumerate_transactions(network, ctx), post)[0]
+        for key, ctx in pair_contexts(network, settings)
+    }
+
+
+def _chsh_result(e: dict[str, float], settings: ChshSettings, counts=None) -> ChshResult:
+    s = abs(e["ab"] - e["ab'"] + e["a'b"] + e["a'b'"])
+    return ChshResult(s=s, correlations=e, settings=settings, counts=counts)
+
+
+def _exact_chsh(conditionals: dict[str, OutcomeDistribution], settings: ChshSettings) -> ChshResult:
+    e = {key: _correlation(d.candidates, [c.weight for c in d.candidates]) for key, d in conditionals.items()}
+    return _chsh_result(e, settings)
 
 
 def chsh(network: Network, settings: ChshSettings, post: str = "D") -> ChshResult:
     """Exact CHSH statistic from post-selected conditional distributions."""
-    correlations = {}
-    for key, ctx in pair_contexts(network, settings):
-        conditional, _ = post_select(enumerate_transactions(network, ctx), post)
-        correlations[key] = _correlation(conditional)
-    s = abs(
-        correlations["ab"] - correlations["ab'"] + correlations["a'b"] + correlations["a'b'"]
-    )
-    return ChshResult(s=s, correlations=correlations, settings=settings)
+    return _exact_chsh(_pair_conditionals(network, settings, post), settings)
 
 
 def chsh_monte_carlo(
@@ -574,27 +549,15 @@ def chsh_monte_carlo(
         raise UsageError("need at least one pair per setting")
     correlations: dict[str, float] = {}
     counts: dict[str, tuple[int, int]] = {}
-    per = pairs // 4
-    for lane, (key, ctx) in enumerate(pair_contexts(network, settings)):
-        conditional, _ = post_select(enumerate_transactions(network, ctx), post)
-        n = per + (1 if lane < pairs % 4 else 0)
-        cum = _cumulative([c.weight for c in conditional.candidates])
-        u = rng.uniforms(seed, 100 + lane, 0, n)
-        idx = np.searchsorted(cum, u, side="right")
-        tally = np.bincount(idx, minlength=len(conditional.candidates))
-        same = diff = 0
-        for c, k in zip(conditional.candidates, tally):
-            s1, s2 = (sym for _, sym in c.outcome.atoms)
-            if s1[-1] == s2[-1]:
-                same += int(k)
-            else:
-                diff += int(k)
-        counts[key] = (same, diff)
-        correlations[key] = (same - diff) / n
-    s = abs(
-        correlations["ab"] - correlations["ab'"] + correlations["a'b"] + correlations["a'b'"]
-    )
-    return ChshResult(s=s, correlations=correlations, settings=settings, counts=counts)
+    conditionals = _pair_conditionals(network, settings, post)
+    for lane, (key, conditional) in enumerate(conditionals.items()):
+        n = pairs // 4 + (1 if lane < pairs % 4 else 0)
+        cands = conditional.candidates
+        tally = _tally(cands, rng.uniforms(seed, 100 + lane, 0, n))
+        balance = int(_correlation(cands, tally.tolist()))  # same - different, exact
+        counts[key] = ((n + balance) // 2, (n - balance) // 2)
+        correlations[key] = balance / n
+    return _chsh_result(correlations, settings, counts)
 
 
 def chsh_optimal_settings(

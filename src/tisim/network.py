@@ -27,6 +27,7 @@ import graphlib
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property, reduce
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -194,15 +195,25 @@ class Network:
         out.update({b.marker: b.id for b in self.boxes()})
         return out
 
+    @cached_property
+    def _diagnostics(self) -> tuple[Diagnostic, ...]:
+        """``validate(self)``, computed once per network: networks are immutable."""
+        return tuple(validate(self))
+
 
 @dataclass(frozen=True)
 class PropagationTrace:
     """Result of a forward pass: the in-flight ket, the absorbed components
-    (one per box, excited level set), and a snapshot after each rank."""
+    (one per box, excited level set), and a snapshot after each rank.
+
+    ``box_fractions`` gives, per absorbed component, the share of the mass
+    entering its box that the box took: the conditional absorption
+    probability the hierarchical resolvers draw against."""
 
     continuing: Ket
     absorbed: tuple[tuple[str, Ket], ...]
     snapshots: tuple[tuple[int, Ket], ...]
+    box_fractions: tuple[float, ...] = ()
 
     def absorbed_total(self) -> float:
         return float(sum(norm_sq(k) for _, k in self.absorbed))
@@ -294,51 +305,26 @@ def validate(network: Network) -> list[Diagnostic]:
     if n_photon_src != allowed:
         add_diag(None, "photon-sources", f"expected {allowed} photon emitter(s), found {n_photon_src}")
 
-    # symbol production/consumption bookkeeping
-    produced: dict[str, list[str]] = {}
-    consumed: dict[str, list[str]] = {}
-    intersected: dict[str, list[str]] = {}
-
-    def note(table, sym, eid):
-        table.setdefault(sym, []).append(eid)
-
-    for e in network.photon_emitters():
-        for label, _ in e.state.items():
-            note(produced, label[0], e.id)
-    for e in network.elements:
-        if isinstance(e, BeamSplitter):
-            for s in e.inputs:
-                note(consumed, s, e.id)
-            for s in e.outputs:
-                note(produced, s, e.id)
-        elif isinstance(e, Mirror):
-            note(consumed, e.input, e.id)
-            note(produced, e.output, e.id)
-        elif isinstance(e, Detector):
-            note(consumed, e.input, e.id)
-        elif isinstance(e, AtomBox):
-            note(intersected, e.path, e.id)
-
+    produced, consumed, intersected = _symbol_table(network)
     basis = set(photon.basis)
     for table in (produced, consumed, intersected):
-        for sym, eids in table.items():
+        for sym, els in table.items():
             if sym not in basis:
-                add_diag(eids[0], "unknown-symbol", f"photon symbol {sym!r} not declared in the photon basis")
+                add_diag(els[0].id, "unknown-symbol", f"photon symbol {sym!r} not declared in the photon basis")
 
-    for sym, eids in consumed.items():
-        if len(eids) > 1:
-            add_diag(eids[1], "consumed-twice", f"photon-path symbol {sym!r} consumed twice ({', '.join(eids)})")
-        if sym not in produced:
-            add_diag(eids[0], "unproduced-symbol", f"photon symbol {sym!r} consumed but never produced")
-    for sym, eids in intersected.items():
-        if len(eids) > 1:
-            add_diag(eids[1], "consumed-twice", f"photon-path symbol {sym!r} consumed twice (boxes {', '.join(eids)})")
-        if sym not in produced:
-            add_diag(eids[0], "unproduced-symbol", f"photon symbol {sym!r} intersected but never produced")
-    for sym, eids in produced.items():
-        dupes = [e for e in eids if not isinstance(network.element(e), Emitter)]
-        if len(dupes) > 1 or (len(eids) > 1 and dupes and len(dupes) != len(eids)):
-            add_diag(eids[1], "produced-twice", f"photon symbol {sym!r} produced by more than one element")
+    for table, verb, who in ((consumed, "consumed", ""), (intersected, "intersected", "boxes ")):
+        for sym, els in table.items():
+            if len(els) > 1:
+                ids = ", ".join(e.id for e in els)
+                add_diag(els[1].id, "consumed-twice", f"photon-path symbol {sym!r} consumed twice ({who}{ids})")
+            if sym not in produced:
+                add_diag(els[0].id, "unproduced-symbol", f"photon symbol {sym!r} {verb} but never produced")
+    for sym, els in produced.items():
+        dupes = [e for e in els if not isinstance(e, Emitter)]
+        if len(dupes) > 1 or (len(els) > 1 and dupes and len(dupes) != len(els)):
+            add_diag(els[1].id, "produced-twice", f"photon symbol {sym!r} produced by more than one element")
+        if sym not in consumed:
+            add_diag(els[0].id, "unconsumed-symbol", f"photon symbol {sym!r} produced but never consumed")
 
     # detectors consume distinct symbols
     det_syms = [d.input for d in network.detectors()]
@@ -362,32 +348,25 @@ def validate(network: Network) -> list[Diagnostic]:
             add_diag(b.id, "box-marker", f"marker symbol {b.marker!r} collides with a routed photon symbol")
 
     # rank monotonicity along every edge, boxes strictly between producer and consumer
-    def rank_of(eid: str) -> int:
-        return network.element(eid).rank
-
-    for sym, eids in consumed.items():
-        if sym in produced:
-            for p in produced[sym]:
-                for c in eids:
-                    if rank_of(p) >= rank_of(c):
-                        add_diag(c, "rank-order", f"symbol {sym!r}: consumer rank must exceed producer rank")
-    for sym, eids in intersected.items():
-        if sym in produced:
-            for p in produced[sym]:
-                for b in eids:
-                    if rank_of(p) >= rank_of(b):
-                        add_diag(b, "rank-order", f"symbol {sym!r}: box rank must exceed producer rank")
-        for c in consumed.get(sym, []):
-            for b in eids:
-                if rank_of(b) >= rank_of(c):
-                    add_diag(b, "rank-order", f"symbol {sym!r}: box rank must precede consumer rank")
+    for earlier, later, flag_later, rule in (
+        (produced, consumed, True, "consumer rank must exceed producer rank"),
+        (produced, intersected, True, "box rank must exceed producer rank"),
+        (intersected, consumed, False, "box rank must precede consumer rank"),
+    ):
+        for sym, lates in later.items():
+            for a in earlier.get(sym, ()):
+                for b in lates:
+                    if a.rank >= b.rank:
+                        add_diag((b if flag_later else a).id, "rank-order", f"symbol {sym!r}: {rule}")
 
     # acyclicity, independent of ranks
     graph: dict[str, set[str]] = {e.id: set() for e in network.elements}
     for sym, cons in consumed.items():
-        chain = produced.get(sym, []) + sorted(intersected.get(sym, []), key=rank_of) + cons
+        chain = intersected.get(sym, []) + cons
+        for p in produced.get(sym, []):
+            graph[chain[0].id].add(p.id)
         for a, b in zip(chain, chain[1:]):
-            graph[b].add(a)
+            graph[b.id].add(a.id)
     try:
         tuple(graphlib.TopologicalSorter(graph).static_order())
     except graphlib.CycleError as err:
@@ -398,9 +377,41 @@ def validate(network: Network) -> list[Diagnostic]:
 
 
 def _require_valid(network: Network) -> None:
-    diags = validate(network)
-    if diags:
-        raise ValidationError("invalid network: " + "; ".join(str(d) for d in diags))
+    if network._diagnostics:
+        raise ValidationError("invalid network: " + "; ".join(map(str, network._diagnostics)))
+
+
+def _ports(e: Element) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Photon symbols an element takes in (for a box, the path it sits on) and puts out."""
+    if isinstance(e, BeamSplitter):
+        return e.inputs, e.outputs
+    if isinstance(e, Mirror):
+        return (e.input,), (e.output,)
+    if isinstance(e, Detector):
+        return (e.input,), ()
+    if isinstance(e, AtomBox):
+        return (e.path,), ()
+    if any(s.kind == "photon-path" for s in e.state.space):
+        return (), tuple(label[0] for label, _ in e.state.items())
+    return (), ()
+
+
+def _symbol_table(network: Network) -> tuple[dict[str, list[Element]], ...]:
+    """Photon symbol -> the elements that produce, consume and box-intersect it.
+
+    Splitters, mirrors and detectors consume; boxes only intersect the path
+    they sit on.  Every list is in rank order.
+    """
+    produced: dict[str, list[Element]] = {}
+    consumed: dict[str, list[Element]] = {}
+    intersected: dict[str, list[Element]] = {}
+    for e in network.ordered():
+        ins, outs = _ports(e)
+        for sym in ins:
+            (intersected if isinstance(e, AtomBox) else consumed).setdefault(sym, []).append(e)
+        for sym in outs:
+            produced.setdefault(sym, []).append(e)
+    return produced, consumed, intersected
 
 
 # -- forward propagation ------------------------------------------------------
@@ -408,18 +419,21 @@ def _require_valid(network: Network) -> None:
 
 def emitted_state(network: Network) -> Ket:
     """Tensor product of all emitted states (photon emitters add coherently)."""
-    photon_states = [e.state for e in network.photon_emitters()]
-    state = photon_states[0]
-    for extra in photon_states[1:]:
-        state = add(state, extra)
-    rest = sorted(
-        (e for e in network.emitters() if e not in network.photon_emitters()),
-        key=lambda e: subsystem_index(network.subsystems, e.state.space[0].id),
-    )
-    for e in rest:
-        state = tensor(state, e.state)
+    state = _with_atom_sources(network, reduce(add, [e.state for e in network.photon_emitters()]))
     if state.space != network.subsystems:
         raise StructuralError("emitter coverage does not match the declared subsystem order")
+    return state
+
+
+def _with_atom_sources(network: Network, state: Ket) -> Ket:
+    """``state`` tensored with every non-photon source's emission, in subsystem order."""
+    photon_emitters = network.photon_emitters()
+    atom_sources = sorted(
+        (e for e in network.emitters() if e not in photon_emitters),
+        key=lambda e: subsystem_index(network.subsystems, e.state.space[0].id),
+    )
+    for e in atom_sources:
+        state = tensor(state, e.state)
     return state
 
 
@@ -493,19 +507,17 @@ def forward_propagate(network: Network, initial: Ket | None = None) -> Propagati
     emit; a caller-supplied ket must be supported on emitted photon symbols.
     """
     _require_valid(network)
-    if initial is None:
-        state = emitted_state(network)
-    else:
-        state = initial
+    state = emitted_state(network) if initial is None else initial
+    photon_i = subsystem_index(state.space, network.photon.id)
+    if initial is not None:
         emitted_syms = {label[0] for e in network.photon_emitters() for label, _ in e.state.items()}
-        photon_i = subsystem_index(state.space, network.photon.id)
         for label, _ in state.items():
             if label[photon_i] not in emitted_syms:
                 raise ContractError(
                     f"initial ket is supported on non-emitter symbol {label[photon_i]!r}"
                 )
-    photon_i = subsystem_index(state.space, network.photon.id)
     absorbed: list[tuple[str, Ket]] = []
+    fractions: list[float] = []
     snapshots: list[tuple[int, Ket]] = []
     current_rank: int | None = None
     for element in network.ordered():
@@ -515,12 +527,19 @@ def forward_propagate(network: Network, initial: Ket | None = None) -> Propagati
         if isinstance(element, (BeamSplitter, Mirror)):
             state = _apply_symbol_map(state, photon_i, element.forward_map())
         elif isinstance(element, AtomBox):
+            before = norm_sq(state)
             state, taken = _apply_box_forward(network, element, state)
             absorbed.append((element.id, taken))
+            fractions.append(norm_sq(taken) / before if before > 0 else 0.0)
         # emitters and detectors do not transform the in-flight state
     if current_rank is not None:
         snapshots.append((current_rank, state))
-    return PropagationTrace(continuing=state, absorbed=tuple(absorbed), snapshots=tuple(snapshots))
+    return PropagationTrace(
+        continuing=state,
+        absorbed=tuple(absorbed),
+        snapshots=tuple(snapshots),
+        box_fractions=tuple(fractions),
+    )
 
 
 # -- backward propagation -----------------------------------------------------
@@ -609,17 +628,9 @@ def backward_propagate(
         sector[e.id] = a_k
         atom_product *= a_k
 
-    full_emitted = emitted_state(network)
-    a_total = inner(joint, full_emitted)
-    atom_states = sorted(
-        (e.state for e in network.emitters() if e not in photon_emitters),
-        key=lambda s: subsystem_index(network.subsystems, s.space[0].id),
-    )
+    a_total = inner(joint, emitted_state(network))
     for e in photon_emitters:
-        own = e.state
-        for extra in atom_states:
-            own = tensor(own, extra)
-        s_e = inner(joint, own)
+        s_e = inner(joint, _with_atom_sources(network, e.state))
         sector[e.id] = s_e / atom_product if abs(atom_product) > 0 else 0j
 
     emitter_amplitudes = {
@@ -747,31 +758,13 @@ def network_to_dict(network: Network) -> dict:
             item["params"] = {"input": e.input}
         elements.append(item)
 
-    edges = []
-    produced: dict[str, str] = {}
-    for e in network.ordered():
-        if isinstance(e, Emitter):
-            for label, _ in e.state.items():
-                if any(s.kind == "photon-path" for s in e.state.space):
-                    produced[label[0]] = e.id
-        elif isinstance(e, BeamSplitter):
-            for s in e.outputs:
-                produced[s] = e.id
-        elif isinstance(e, Mirror):
-            produced[e.output] = e.id
-    for e in network.ordered():
-        targets = []
-        if isinstance(e, BeamSplitter):
-            targets = list(e.inputs)
-        elif isinstance(e, Mirror):
-            targets = [e.input]
-        elif isinstance(e, Detector):
-            targets = [e.input]
-        elif isinstance(e, AtomBox):
-            targets = [e.path]
-        for sym in targets:
-            if sym in produced:
-                edges.append({"symbol": sym, "from": produced[sym], "to": e.id})
+    produced = _symbol_table(network)[0]
+    edges = [
+        {"symbol": sym, "from": produced[sym][-1].id, "to": e.id}
+        for e in network.ordered()
+        for sym in _ports(e)[0]
+        if sym in produced
+    ]
 
     return {
         "schema": _SCHEMA,
@@ -819,9 +812,10 @@ def network_from_dict(data: Mapping) -> Network:
         elements=tuple(elements),
         two_source=bool(data.get("two_source", False)),
     )
-    diags = validate(network)
-    if diags:
-        raise ValidationError("network description failed validation: " + "; ".join(map(str, diags)))
+    if network._diagnostics:
+        raise ValidationError(
+            "network description failed validation: " + "; ".join(map(str, network._diagnostics))
+        )
     return network
 
 

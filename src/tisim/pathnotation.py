@@ -24,13 +24,14 @@ labels and element ids need not coincide.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import PathSyntaxError, ResolutionError, StructuralError
-from .network import AtomBox, BeamSplitter, Detector, Emitter, Mirror, Network
+from .network import BeamSplitter, Detector, Emitter, Mirror, Network, _symbol_table
 
 _MINUS = "-−"
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9]*")
@@ -250,18 +251,8 @@ def enumerate_paths(network: Network) -> list[PathKet]:
     flags are set on beam-splitter segments according to which output the
     route takes.
     """
-    consumers: dict[str, object] = {}
-    boxes_on: dict[str, list[AtomBox]] = {}
-    for e in network.elements:
-        if isinstance(e, BeamSplitter):
-            for s in e.inputs:
-                consumers[s] = e
-        elif isinstance(e, (Mirror, Detector)):
-            consumers[e.input] = e
-        elif isinstance(e, AtomBox):
-            boxes_on.setdefault(e.path, []).append(e)
-    for lst in boxes_on.values():
-        lst.sort(key=lambda b: b.rank)
+    _, consumed, boxes_on = _symbol_table(network)
+    consumers = {sym: els[-1] for sym, els in consumed.items()}
 
     paths: list[PathKet] = []
 
@@ -302,8 +293,6 @@ def surviving_detector_paths(
         p for p in enumerate_paths(network) if p.segments[-1].label == detector_id
     ]
     out = []
-    import itertools
-
     for combo in itertools.product(*(a.basis for a in atoms)):
         assignment = dict(zip((a.id for a in atoms), combo))
         open_routes = []

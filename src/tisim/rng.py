@@ -4,13 +4,15 @@ Every trial draws from a Philox stream addressed by ``(seed, lane, index)``,
 so the value of trial ``i`` never depends on how many trials ran before it or
 on how a batch was split across workers.  ``lane`` separates independent
 decision streams within one trial family (e.g. the final outcome draw versus
-per-stage absorption draws).
+per-stage absorption draws).  Seeds are 64-bit: any integer in [0, 2**64).
 """
 
 from __future__ import annotations
 
 import numpy as np
 from numpy.random import Generator, Philox
+
+from .errors import ContractError
 
 # Philox-4x64 emits four 64-bit words per counter increment and Generator
 # consumes exactly one word per float64, so trial i lives at counter i // 4,
@@ -29,6 +31,8 @@ def uniforms(seed: int, lane: int, start: int, count: int) -> np.ndarray:
 
     Concatenating adjacent slices reproduces the whole stream bit for bit.
     """
+    if not 0 <= seed < 2**64:
+        raise ContractError(f"seed {seed} is outside [0, 2**64)")
     if count < 0:
         raise ValueError("count must be non-negative")
     if count == 0:

@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .amplitudes import Ket, SubsystemSpec, approx_equal, tensor, unit
@@ -29,10 +30,11 @@ from .engine import (
     ChshSettings,
     MeasurementContext,
     OutcomeDistribution,
-    chsh,
+    _correlation,
+    _exact_chsh,
+    _pair_conditionals,
     chsh_monte_carlo,
     enumerate_transactions,
-    pair_contexts,
     post_select,
     sample_flat,
     z_context,
@@ -175,44 +177,31 @@ def build_scenario(name: str, **params) -> Scenario:
     """
     atom_basis = params.pop("atom_basis", "z")
     post = params.pop("post_select", None)
+    extra: dict = {}
     if name == "ev-bomb":
         bomb = params.pop("bomb", "present")
         if bomb not in ("present", "absent"):
             raise UsageError(f"bomb must be 'present' or 'absent', got {bomb!r}")
-        network = ev_bomb_network(present=bomb == "present")
-        scenario = Scenario(name, network, z_context(network), post, {"bomb": bomb})
+        network, extra = ev_bomb_network(present=bomb == "present"), {"bomb": bomb}
     elif name == "hardy-ifm":
         network = hardy_network()
-        scenario = Scenario(name, network, z_context(network), post)
     elif name == "qle":
         network = qle_network()
-        scenario = Scenario(name, network, z_context(network), post)
     elif name == "qle-two-laser":
         network = two_laser_variant(qle_network())
-        scenario = Scenario(name, network, z_context(network), post)
     elif name == "qle-chsh":
         angles = tuple(params.pop("angles", DEFAULT_CHSH_ANGLES_DEG))
         if len(angles) != 4:
             raise UsageError("qle-chsh needs exactly four angles (a, a', b, b') in degrees")
-        network = qle_network()
-        scenario = Scenario(
-            name,
-            network,
-            z_context(network),
-            post or "D",
-            {"angles": angles, "settings": chsh_settings_from_degrees(angles)},
-        )
+        network, post = qle_network(), post or "D"
+        extra = {"angles": angles, "settings": chsh_settings_from_degrees(angles)}
     else:
         raise UsageError(f"unknown scenario {name!r}; choose from {', '.join(scenario_names())}")
     if params:
         raise UsageError(f"unknown scenario parameters: {sorted(params)}")
-    if atom_basis != "z":
-        basis = _parse_atom_basis(atom_basis)
-        scenario.context = MeasurementContext(
-            {a.id: basis for a in scenario.network.atoms()},
-            include_absorption=scenario.context.include_absorption,
-        )
-    return scenario
+    basis = _parse_atom_basis(atom_basis)
+    context = MeasurementContext({a.id: basis for a in network.atoms()})
+    return Scenario(name, network, context, post, extra)
 
 
 # -- reports ----------------------------------------------------------------------
@@ -232,18 +221,7 @@ class RunReport:
     wall_time_s: float
 
     def to_dict(self) -> dict:
-        return {
-            "schema": self.schema,
-            "scenario": self.scenario,
-            "mode": self.mode,
-            "seed": self.seed,
-            "trials": self.trials,
-            "outcomes": self.outcomes,
-            "photon_probabilities": self.photon_probabilities,
-            "absorbed_probability": self.absorbed_probability,
-            "derived": self.derived,
-            "wall_time_s": self.wall_time_s,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -251,10 +229,7 @@ class RunReport:
     @classmethod
     def from_json(cls, text: str) -> "RunReport":
         data = json.loads(text)
-        return cls(**{k: data[k] for k in (
-            "schema", "scenario", "mode", "seed", "trials", "outcomes",
-            "photon_probabilities", "absorbed_probability", "derived", "wall_time_s",
-        )})
+        return cls(**{f.name: data[f.name] for f in fields(cls)})
 
     def to_csv(self) -> str:
         lines = ["outcome,count,probability"]
@@ -281,16 +256,6 @@ def _distribution_rows(dist: OutcomeDistribution) -> list[dict]:
     return rows
 
 
-def _two_atom_correlation(dist: OutcomeDistribution) -> float | None:
-    if not dist.candidates or len(dist.candidates[0].outcome.atoms) != 2:
-        return None
-    e = 0.0
-    for c in dist.candidates:
-        s1, s2 = (sym for _, sym in c.outcome.atoms)
-        e += c.weight if s1[-1] == s2[-1] else -c.weight
-    return e
-
-
 def run_exact(scenario: Scenario) -> RunReport:
     """Analytic distribution (and derived statistics) for a scenario."""
     t0 = time.perf_counter()
@@ -303,9 +268,9 @@ def run_exact(scenario: Scenario) -> RunReport:
         reported, _ = post_select(dist, scenario.post_selection)
         derived["post_selected_on"] = scenario.post_selection
         derived["selection_probability"] = dist.photon_marginal().get(scenario.post_selection, 0.0)
-    corr = _two_atom_correlation(reported)
-    if corr is not None:
-        derived["correlation"] = corr
+    cands = reported.candidates
+    if cands and len(cands[0].outcome.atoms) == 2:
+        derived["correlation"] = _correlation(cands, [c.weight for c in cands])
     return RunReport(
         schema=1,
         scenario=scenario.name,
@@ -326,7 +291,10 @@ def _mc_chunk(args) -> np.ndarray:
 
 
 def run_mc(scenario: Scenario, trials: int, seed: int, workers: int = 1) -> RunReport:
-    """Monte Carlo run; counts are bit-identical for any worker count."""
+    """Monte Carlo run; counts are bit-identical for any worker count.
+
+    At most ``os.cpu_count()`` worker processes run, never more than trials.
+    """
     if trials < 1:
         raise UsageError("trials must be >= 1")
     if workers < 1:
@@ -338,31 +306,23 @@ def run_mc(scenario: Scenario, trials: int, seed: int, workers: int = 1) -> RunR
     sampled = dist
     if scenario.post_selection:
         sampled, _ = post_select(dist, scenario.post_selection)
+    workers = min(workers, os.cpu_count() or 1, trials)
     bounds = [(i * trials) // workers for i in range(workers + 1)]
-    chunks = [
-        (sampled, hi - lo, seed, lo) for lo, hi in zip(bounds, bounds[1:]) if hi > lo
-    ]
+    chunks = [(sampled, hi - lo, seed, lo) for lo, hi in zip(bounds, bounds[1:])]
     if len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             parts = list(pool.map(_mc_chunk, chunks))
     else:
         parts = [_mc_chunk(c) for c in chunks]
-    counts = np.sum(parts, axis=0).astype(np.int64)
-    sampled = OutcomeDistribution(
-        candidates=sampled.candidates,
-        provenance=sampled.provenance,
-        atom_space=sampled.atom_space,
+    counts = [int(k) for k in np.sum(parts, axis=0)]
+    # observed frequencies stand in for the weights, so the marginals are sampled ones
+    observed = replace(
+        sampled,
+        candidates=tuple(replace(c, weight=k / trials) for c, k in zip(sampled.candidates, counts)),
         seed=seed,
         trials=trials,
-        counts=tuple(int(c) for c in counts),
+        counts=tuple(counts),
     )
-    photon_probs: dict[str, float] = {}
-    absorbed = 0.0
-    for c, k in zip(sampled.candidates, counts):
-        p = float(k) / trials
-        photon_probs[c.outcome.photon] = photon_probs.get(c.outcome.photon, 0.0) + p
-        if c.outcome.excited is not None:
-            absorbed += p
     derived: dict = {}
     if scenario.post_selection:
         derived["post_selected_on"] = scenario.post_selection
@@ -372,9 +332,9 @@ def run_mc(scenario: Scenario, trials: int, seed: int, workers: int = 1) -> RunR
         mode="monte-carlo",
         seed=seed,
         trials=trials,
-        outcomes=_distribution_rows(sampled),
-        photon_probabilities=photon_probs,
-        absorbed_probability=absorbed,
+        outcomes=_distribution_rows(observed),
+        photon_probabilities=observed.photon_marginal(),
+        absorbed_probability=observed.absorbed_probability(),
         derived=derived,
         wall_time_s=time.perf_counter() - t0,
     )
@@ -383,34 +343,23 @@ def run_mc(scenario: Scenario, trials: int, seed: int, workers: int = 1) -> RunR
 def _run_chsh(scenario: Scenario, t0: float, trials: int | None = None, seed: int | None = None) -> RunReport:
     settings = scenario.params["settings"]
     post = scenario.post_selection or "D"
-    pair_names = ("ab", "ab'", "a'b", "a'b'")
     if trials is None:
-        result = chsh(scenario.network, settings, post=post)
+        conditionals = _pair_conditionals(scenario.network, settings, post)
+        result = _exact_chsh(conditionals, settings)
         mode = "exact"
-        outcomes = []
-        for key, ctx in pair_contexts(scenario.network, settings):
-            conditional, _ = post_select(enumerate_transactions(scenario.network, ctx), post)
-            for c in conditional.candidates:
-                outcomes.append(
-                    {
-                        "outcome": f"{key}:{c.outcome.label}",
-                        "count": None,
-                        "probability": c.weight / len(pair_names),
-                    }
-                )
+        outcomes = [
+            {"outcome": f"{key}:{c.outcome.label}", "count": None, "probability": c.weight / len(conditionals)}
+            for key, conditional in conditionals.items()
+            for c in conditional.candidates
+        ]
     else:
         result = chsh_monte_carlo(scenario.network, settings, pairs=trials, seed=seed, post=post)
         mode = "monte-carlo"
-        outcomes = []
-        for key in pair_names:
-            same, diff = result.counts[key]
-            n = same + diff
-            outcomes.append(
-                {"outcome": f"{key}:same", "count": same, "probability": same / max(trials, 1)}
-            )
-            outcomes.append(
-                {"outcome": f"{key}:different", "count": diff, "probability": diff / max(trials, 1)}
-            )
+        outcomes = [
+            {"outcome": f"{key}:{kind}", "count": k, "probability": k / trials}
+            for key, pair in result.counts.items()
+            for kind, k in zip(("same", "different"), pair)
+        ]
     derived = {
         "chsh_s": result.s,
         "correlations": dict(result.correlations),
@@ -429,8 +378,6 @@ def _run_chsh(scenario: Scenario, t0: float, trials: int | None = None, seed: in
         derived=derived,
         wall_time_s=time.perf_counter() - t0,
     )
-
-
 
 
 # -- verification checklist ---------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -6,8 +7,9 @@ import pytest
 
 import tisim as t
 from tisim.engine import AtomBasis, ChshSettings, MeasurementContext, Outcome, _hierarchy_stages
-from tisim.errors import ContractError
+from tisim.errors import ContractError, ValidationError
 from tisim.rng import uniform, uniforms
+from netgen import random_network
 
 RT2 = math.sqrt(2.0)
 
@@ -174,6 +176,8 @@ def test_hierarchy_stage_probabilities(hardy):
 
 def test_hierarchical_equals_flat_exactly(hardy, qle, bomb_present, bomb_absent):
     nets = [hardy, qle, bomb_present, bomb_absent, t.two_laser_variant(qle)]
+    rng = np.random.default_rng(2718)
+    nets += [random_network(rng, index) for index in range(30)]
     for net in nets:
         for ctx in (t.z_context(net), t.y_context(net) if all(
             len(a.basis) == 2 for a in net.atoms()
@@ -183,6 +187,48 @@ def test_hierarchical_equals_flat_exactly(hardy, qle, bomb_present, bomb_absent)
             assert [c.outcome for c in flat.candidates] == [c.outcome for c in hier.candidates]
             for a, b in zip(flat.candidates, hier.candidates):
                 assert abs(a.weight - b.weight) < 1e-12
+
+
+def test_resolve_hierarchical_refuses_invalid_network(qle):
+    # S2 moved to rank 1: it now runs before the boxes and consumes u, v before S1 makes them
+    bad = dataclasses.replace(
+        qle,
+        elements=tuple(
+            dataclasses.replace(e, rank=1) if e.id == "S2" else e for e in qle.elements
+        ),
+    )
+    assert [d.rule for d in t.validate(bad)].count("rank-order") == 4
+    ctx = t.z_context(bad)
+    for resolve in (
+        lambda: t.resolve_hierarchical(bad, ctx, seed=1, trial=0),
+        lambda: t.sample_hierarchical(bad, ctx, 100, seed=1),
+        lambda: t.hierarchical_distribution(bad, ctx),
+        lambda: t.enumerate_transactions(bad, ctx),
+    ):
+        with pytest.raises(ValidationError):
+            resolve()
+
+
+def test_each_network_is_validated_once(monkeypatch):
+    import tisim.network as network_module
+
+    calls = []
+    real = network_module.validate
+    monkeypatch.setattr(network_module, "validate", lambda net: calls.append(net) or real(net))
+    net = t.qle_network()
+    for ctx in (t.z_context(net), t.y_context(net)):
+        dist = t.enumerate_transactions(net, ctx)
+        for c in dist.candidates:
+            t.echo_weight(net, c.outcome, ctx)
+        t.hierarchical_distribution(net, ctx)
+        for trial in range(5):
+            t.resolve_hierarchical(net, ctx, seed=3, trial=trial)
+        t.sample_hierarchical(net, ctx, 100, seed=3)
+    assert len(calls) == 1
+    # the public call still validates afresh and hands back a list the caller owns
+    fresh = t.validate(net)
+    fresh.append("scribble")
+    assert t.validate(net) == []
 
 
 def test_hierarchical_matches_flat_without_absorbers(bomb_absent):

@@ -58,6 +58,18 @@ def test_double_box_on_one_path_is_flagged(qle):
     assert any(d.rule == "consumed-twice" and "consumed twice" in d.message for d in diags)
 
 
+def test_unconsumed_symbol_is_flagged(qle):
+    # without detector D the dark-port symbol d is produced and never consumed
+    open_port = dataclasses.replace(
+        qle, elements=tuple(e for e in qle.elements if e.id != "D")
+    )
+    diags = t.validate(open_port)
+    assert [(d.rule, d.element) for d in diags] == [("unconsumed-symbol", "S2")]
+    assert "'d'" in diags[0].message
+    with pytest.raises(ValidationError):
+        t.enumerate_transactions(open_port, t.z_context(open_port))
+
+
 def test_propagation_refuses_invalid_network(qle):
     bad = dataclasses.replace(
         qle,

@@ -292,3 +292,64 @@ def test_cli_verify_exit_three_on_failure(monkeypatch, capsys):
     code = cli_main(["verify"])
     assert code == 3
     assert "FAIL stub" in capsys.readouterr().out
+
+
+# -- Monte Carlo boundaries -----------------------------------------------------------------
+
+
+class _InProcessPool:
+    """Stands in for ProcessPoolExecutor: records the pool size, starts no process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_worker_pool_is_capped_by_cpus_and_trials(monkeypatch):
+    import tisim.scenarios as scenarios
+
+    monkeypatch.setattr(_InProcessPool, "sizes", [])
+    monkeypatch.setattr(scenarios, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(scenarios.os, "cpu_count", lambda: 3)
+    scenario = build_scenario("qle")
+    many = run_mc(scenario, trials=10_000, seed=4, workers=5000)
+    assert _InProcessPool.sizes == [3]
+    assert many.payload_equal(run_mc(scenario, trials=10_000, seed=4, workers=1))
+    run_mc(scenario, trials=2, seed=4, workers=5000)
+    assert _InProcessPool.sizes == [3, 2]
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_cli_rejects_seeds_outside_64_bits(seed, capsys):
+    code = cli_main(["run", "qle", "--trials", "10", "--seed", seed])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and "seed" in err
+
+
+def test_cli_accepts_largest_seed(capsys):
+    code = cli_main(["run", "qle", "--trials", "10", "--seed", str(2**64 - 1)])
+    assert code == 0
+    assert sum(row["count"] for row in json.loads(capsys.readouterr().out)["outcomes"]) == 10
+
+
+def test_library_seed_errors_are_simulator_errors():
+    from tisim.errors import SimulatorError
+    from tisim.rng import uniforms
+
+    dist = t.enumerate_transactions(t.qle_network(), t.z_context(t.qle_network()))
+    for seed in (-1, 2**64):
+        with pytest.raises(SimulatorError):
+            t.sample_flat(dist, 10, seed)
+        with pytest.raises(SimulatorError):
+            uniforms(seed, 0, 0, 1)
