@@ -11,7 +11,15 @@ import sys
 from .errors import SimulatorError, UsageError
 from .network import load_network
 from .pathnotation import amplitude, format_expression, parse as parse_paths, sum_amplitudes
-from .scenarios import build_scenario, qle_network, run_exact, run_mc, scenario_names, verification_checks
+from .scenarios import (
+    _atom_context,
+    build_scenario,
+    qle_network,
+    run_exact,
+    run_mc,
+    scenario_names,
+    verification_checks,
+)
 
 _DESCRIPTIONS = {
     "ev-bomb": "dark-port interferometer with an optional obstruction (bomb=present|absent)",
@@ -71,6 +79,7 @@ def _cmd_run(args) -> int:
     scenario = build_scenario(args.scenario, atom_basis=args.atom_basis, **params)
     if args.network:
         scenario.network = load_network(args.network)
+        scenario.context = _atom_context(scenario.network, args.atom_basis)
     if args.trials is None or args.exact:
         report = run_exact(scenario)
     else:

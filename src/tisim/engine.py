@@ -1,8 +1,8 @@
 """Transaction enumeration, weighing, resolution, and post-selection.
 
 A measurement context fixes one spin basis per atom (open the box for z;
-recombine and rotate for y or an arbitrary Bloch direction) and says whether
-photon absorption inside a box counts as a terminal outcome.  The engine then
+recombine and rotate for y or an arbitrary Bloch direction); photon
+absorption inside a box is always a terminal outcome.  The engine then
 
 * enumerates every candidate transaction with its Born weight, flat over the
   joint outcome space (``enumerate_transactions``),
@@ -38,6 +38,8 @@ from .errors import ContractError, StructuralError, UsageError, ValidationError
 from .network import AtomBox, Network, backward_propagate, forward_propagate
 
 LANE_OUTCOME = 0  # final outcome draw; hierarchy stage k draws on lane 1 + k
+CHUNK = 2**20  # trials drawn at a time, so sampling memory does not grow with the trial count
+COMPARE_MAX = 64  # up to this many candidates, counting comparisons beats searchsorted
 
 TOL = 1e-12
 
@@ -89,10 +91,9 @@ class AtomBasis:
 
 @dataclass
 class MeasurementContext:
-    """One basis per atom plus whether absorption outcomes are terminal."""
+    """One basis per atom; atoms not named are measured in z."""
 
     atom_bases: dict[str, AtomBasis] = field(default_factory=dict)
-    include_absorption: bool = True
 
     def basis_for(self, atom_id: str) -> AtomBasis:
         return self.atom_bases.get(atom_id, AtomBasis.z())
@@ -258,9 +259,8 @@ def _hierarchy_stages(network: Network, context: MeasurementContext):
 def _flat(network: Network, context: MeasurementContext, stages, final) -> OutcomeDistribution:
     """The stage table read as one flat distribution over every terminal outcome."""
     candidates = list(final)
-    if context.include_absorption:
-        for _, inner_cands in stages:
-            candidates.extend(inner_cands)
+    for _, inner_cands in stages:
+        candidates.extend(inner_cands)
     return OutcomeDistribution(
         candidates=_canonical(candidates),
         provenance="flat",
@@ -287,10 +287,9 @@ def hierarchical_distribution(network: Network, context: MeasurementContext) -> 
     for p_here, inner_cands in stages:
         if p_here <= 0.0:
             continue
-        if context.include_absorption:
-            mass = sum(c.weight for c in inner_cands)
-            for cand in inner_cands:
-                candidates.append(replace(cand, weight=survival * p_here * (cand.weight / mass)))
+        mass = sum(c.weight for c in inner_cands)
+        for cand in inner_cands:
+            candidates.append(replace(cand, weight=survival * p_here * (cand.weight / mass)))
         survival *= 1.0 - p_here
     final_mass = sum(c.weight for c in final)
     if final_mass > 0.0:
@@ -345,17 +344,48 @@ def echo_weight(network: Network, outcome: Outcome, context: MeasurementContext)
 # -- resolution (sampling) -----------------------------------------------------
 
 
-def _pick(candidates: Sequence[TransactionCandidate], u):
-    """Index of the candidate each uniform in ``u`` selects (inverse CDF)."""
+def _cut(candidates: Sequence[TransactionCandidate]) -> np.ndarray:
+    """Normalised cumulative weights: a uniform u selects the first i with u < cut[i]."""
     cum = np.cumsum(np.asarray([c.weight for c in candidates], dtype=float))
     if cum.size == 0 or cum[-1] <= 0:
         raise ContractError("cannot sample from an empty distribution")
-    return np.searchsorted(cum / cum[-1], u, side="right")
+    return cum / cum[-1]
 
 
-def _tally(candidates: Sequence[TransactionCandidate], u) -> np.ndarray:
-    """Counts per candidate over the uniforms ``u``."""
-    return np.bincount(_pick(candidates, u), minlength=len(candidates)).astype(np.int64)
+def _pick(candidates: Sequence[TransactionCandidate], u):
+    """Index of the candidate each uniform in ``u`` selects (inverse CDF)."""
+    return np.searchsorted(_cut(candidates), u, side="right")
+
+
+def _count(cut: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Counts per candidate over the uniforms ``u``, under the mapping of ``_pick``.
+
+    For few candidates, counting the uniforms at or above each cut point is
+    cheaper than a binary search per uniform.  Candidate i gets those at or
+    above cut[i-1] but below cut[i], which is searchsorted's side="right", so
+    ties and zero-weight candidates land where ``_pick`` puts them.
+    """
+    if cut.size > COMPARE_MAX:
+        return np.bincount(np.searchsorted(cut, u, side="right"), minlength=cut.size)
+    at_or_above = np.array([u.size] + [np.count_nonzero(u >= c) for c in cut], dtype=np.int64)
+    return at_or_above[:-1] - at_or_above[1:]
+
+
+def _chunks(start: int, trials: int) -> list[tuple[int, int]]:
+    """``(first trial, count)`` slices of at most CHUNK trials covering ``start .. start+trials-1``."""
+    stop = start + trials
+    return [(lo, min(CHUNK, stop - lo)) for lo in range(start, stop, CHUNK)]
+
+
+def _tally(
+    candidates: Sequence[TransactionCandidate], seed: int, lane: int, start: int, trials: int
+) -> np.ndarray:
+    """Counts per candidate over trials ``start .. start+trials-1`` of stream (seed, lane)."""
+    cut = _cut(candidates)
+    counts = np.zeros(cut.size, dtype=np.int64)
+    for lo, n in _chunks(start, trials):
+        counts += _count(cut, rng.uniforms(seed, lane, lo, n))
+    return counts
 
 
 def resolve_flat(dist: OutcomeDistribution, seed: int, trial: int) -> Outcome:
@@ -371,7 +401,7 @@ def sample_flat(
     """Counts per candidate for trial indices ``start .. start+trials-1``."""
     if trials < 1:
         raise UsageError("trials must be >= 1")
-    return _tally(dist.candidates, rng.uniforms(seed, LANE_OUTCOME, start, trials))
+    return _tally(dist.candidates, seed, LANE_OUTCOME, start, trials)
 
 
 def resolve_hierarchical(
@@ -399,26 +429,28 @@ def resolve_hierarchical(
 def sample_hierarchical(
     network: Network, context: MeasurementContext, trials: int, seed: int
 ) -> OutcomeDistribution:
-    """Vectorized hierarchical sampling; counts align with the flat candidates."""
+    """Vectorized hierarchical sampling, CHUNK trials at a time; counts align
+    with the flat candidates."""
     stages, final = _hierarchy_stages(network, context)
     flat = _flat(network, context, stages, final)
     index_of = {c.outcome: i for i, c in enumerate(flat.candidates)}
     counts = np.zeros(len(flat.candidates), dtype=np.int64)
 
     def add(cands, u) -> None:
-        np.add.at(counts, [index_of[c.outcome] for c in cands], _tally(cands, u))
+        np.add.at(counts, [index_of[c.outcome] for c in cands], _count(_cut(cands), u))
 
-    alive = np.arange(trials, dtype=np.int64)
-    for k, (p_here, inner_cands) in enumerate(stages):
-        if p_here <= 0.0 or alive.size == 0:
-            continue
-        u = rng.uniforms(seed, 1 + k, 0, trials)[alive]
-        fired = u < p_here
-        if fired.any() and context.include_absorption:
-            add(inner_cands, u[fired] / p_here)
-        alive = alive[~fired]
-    if alive.size:
-        add(final, rng.uniforms(seed, LANE_OUTCOME, 0, trials)[alive])
+    for lo, n in _chunks(0, trials):
+        alive = np.arange(n, dtype=np.int64)
+        for k, (p_here, inner_cands) in enumerate(stages):
+            if p_here <= 0.0 or alive.size == 0:
+                continue
+            u = rng.uniforms(seed, 1 + k, lo, n)[alive]
+            fired = u < p_here
+            if fired.any():
+                add(inner_cands, u[fired] / p_here)
+            alive = alive[~fired]
+        if alive.size:
+            add(final, rng.uniforms(seed, LANE_OUTCOME, lo, n)[alive])
     return replace(
         flat, provenance="hierarchical", seed=seed, trials=trials, counts=tuple(int(c) for c in counts)
     )
@@ -553,7 +585,7 @@ def chsh_monte_carlo(
     for lane, (key, conditional) in enumerate(conditionals.items()):
         n = pairs // 4 + (1 if lane < pairs % 4 else 0)
         cands = conditional.candidates
-        tally = _tally(cands, rng.uniforms(seed, 100 + lane, 0, n))
+        tally = _tally(cands, seed, 100 + lane, 0, n)
         balance = int(_correlation(cands, tally.tolist()))  # same - different, exact
         counts[key] = ((n + balance) // 2, (n - balance) // 2)
         correlations[key] = balance / n

@@ -32,6 +32,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .amplitudes import (
+    TOL,
     Bra,
     Ket,
     Label,
@@ -304,6 +305,20 @@ def validate(network: Network) -> list[Diagnostic]:
     allowed = 2 if network.two_source else 1
     if n_photon_src != allowed:
         add_diag(None, "photon-sources", f"expected {allowed} photon emitter(s), found {n_photon_src}")
+
+    # emitted states carry unit mass; the photon emitters add coherently, as in emitted_state
+    photon_src = network.photon_emitters()
+    sources = [([e.id], e.state) for e in network.emitters() if e not in photon_src]
+    if photon_src and len({e.state.space for e in photon_src}) == 1:
+        sources.append(([e.id for e in photon_src], reduce(add, [e.state for e in photon_src])))
+    for ids, state in sources:
+        mass = norm_sq(state)
+        if abs(mass - 1.0) > TOL:
+            add_diag(
+                ids[0] if len(ids) == 1 else None,
+                "emitter-norm",
+                f"state emitted by {' + '.join(ids)} has norm^2 {mass!r}, expected 1 within {TOL}",
+            )
 
     produced, consumed, intersected = _symbol_table(network)
     basis = set(photon.basis)
@@ -779,6 +794,23 @@ def network_to_dict(network: Network) -> dict:
 
 
 def network_from_dict(data: Mapping) -> Network:
+    """Build and validate a network; a malformed description is a ``ValidationError``."""
+    if not isinstance(data, Mapping):
+        raise ValidationError("network description must be a JSON object")
+    try:
+        network = _parse_network(data)
+    except KeyError as err:
+        raise ValidationError(f"network description lacks key {err}") from err
+    except (TypeError, ValueError, AttributeError) as err:
+        raise ValidationError(f"malformed network description: {err}") from err
+    if network._diagnostics:
+        raise ValidationError(
+            "network description failed validation: " + "; ".join(map(str, network._diagnostics))
+        )
+    return network
+
+
+def _parse_network(data: Mapping) -> Network:
     if data.get("schema", _SCHEMA) != _SCHEMA:
         raise ValidationError(f"unsupported network schema {data.get('schema')!r}")
     subsystems = tuple(
@@ -806,17 +838,12 @@ def network_from_dict(data: Mapping) -> Network:
             elements.append(Detector(eid, rank, params["input"]))
         else:
             raise ValidationError(f"unknown element variant {variant!r}")
-    network = Network(
+    return Network(
         name=data.get("name", "unnamed"),
         subsystems=subsystems,
         elements=tuple(elements),
         two_source=bool(data.get("two_source", False)),
     )
-    if network._diagnostics:
-        raise ValidationError(
-            "network description failed validation: " + "; ".join(map(str, network._diagnostics))
-        )
-    return network
 
 
 def save_network(network: Network, path: str | Path) -> None:
@@ -824,4 +851,9 @@ def save_network(network: Network, path: str | Path) -> None:
 
 
 def load_network(path: str | Path) -> Network:
-    return network_from_dict(json.loads(Path(path).read_text()))
+    """Read a description file; any failure to read or parse it is a ``ValidationError``."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as err:  # ValueError covers JSON and UTF-8 decoding
+        raise ValidationError(f"cannot read network file {str(path)!r}: {err}") from err
+    return network_from_dict(data)

@@ -20,12 +20,13 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .amplitudes import Ket, SubsystemSpec, approx_equal, tensor, unit
 from .engine import (
+    CHUNK,
     AtomBasis,
     ChshSettings,
     MeasurementContext,
@@ -163,6 +164,12 @@ def _parse_atom_basis(spec: str) -> AtomBasis:
     raise UsageError(f"unknown atom basis {spec!r} (expected z, y, or bloch:theta,phi)")
 
 
+def _atom_context(network: Network, atom_basis: str) -> MeasurementContext:
+    """Every atom of ``network`` measured in the basis ``atom_basis`` names."""
+    basis = _parse_atom_basis(atom_basis)
+    return MeasurementContext({a.id: basis for a in network.atoms()})
+
+
 def scenario_names() -> tuple[str, ...]:
     return ("ev-bomb", "hardy-ifm", "qle", "qle-two-laser", "qle-chsh")
 
@@ -199,9 +206,7 @@ def build_scenario(name: str, **params) -> Scenario:
         raise UsageError(f"unknown scenario {name!r}; choose from {', '.join(scenario_names())}")
     if params:
         raise UsageError(f"unknown scenario parameters: {sorted(params)}")
-    basis = _parse_atom_basis(atom_basis)
-    context = MeasurementContext({a.id: basis for a in network.atoms()})
-    return Scenario(name, network, context, post, extra)
+    return Scenario(name, network, _atom_context(network, atom_basis), post, extra)
 
 
 # -- reports ----------------------------------------------------------------------
@@ -285,15 +290,11 @@ def run_exact(scenario: Scenario) -> RunReport:
     )
 
 
-def _mc_chunk(args) -> np.ndarray:
-    dist, trials, seed, start = args
-    return sample_flat(dist, trials, seed, start)
-
-
 def run_mc(scenario: Scenario, trials: int, seed: int, workers: int = 1) -> RunReport:
     """Monte Carlo run; counts are bit-identical for any worker count.
 
-    At most ``os.cpu_count()`` worker processes run, never more than trials.
+    The trials split into ranges of whole CHUNKs, one per worker thread; at
+    most ``os.cpu_count()`` threads run, never more than there are chunks.
     """
     if trials < 1:
         raise UsageError("trials must be >= 1")
@@ -306,14 +307,21 @@ def run_mc(scenario: Scenario, trials: int, seed: int, workers: int = 1) -> RunR
     sampled = dist
     if scenario.post_selection:
         sampled, _ = post_select(dist, scenario.post_selection)
-    workers = min(workers, os.cpu_count() or 1, trials)
-    bounds = [(i * trials) // workers for i in range(workers + 1)]
-    chunks = [(sampled, hi - lo, seed, lo) for lo, hi in zip(bounds, bounds[1:])]
-    if len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = list(pool.map(_mc_chunk, chunks))
+    n_chunks = -(-trials // CHUNK)
+    workers = min(workers, os.cpu_count() or 1, n_chunks)
+    bounds = [min(trials, i * n_chunks // workers * CHUNK) for i in range(workers + 1)]
+    ranges = list(zip(bounds, bounds[1:]))
+
+    def part(lo_hi: tuple[int, int]) -> np.ndarray:
+        lo, hi = lo_hi
+        return sample_flat(sampled, hi - lo, seed, lo)
+
+    if workers > 1:
+        # numpy's Philox fill and comparisons release the GIL, so threads overlap
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(part, ranges))
     else:
-        parts = [_mc_chunk(c) for c in chunks]
+        parts = [part(ranges[0])]
     counts = [int(k) for k in np.sum(parts, axis=0)]
     # observed frequencies stand in for the weights, so the marginals are sampled ones
     observed = replace(

@@ -6,7 +6,18 @@ import numpy as np
 import pytest
 
 import tisim as t
-from tisim.engine import AtomBasis, ChshSettings, MeasurementContext, Outcome, _hierarchy_stages
+from tisim.engine import (
+    CHUNK,
+    COMPARE_MAX,
+    AtomBasis,
+    ChshSettings,
+    MeasurementContext,
+    Outcome,
+    OutcomeDistribution,
+    TransactionCandidate,
+    _count,
+    _hierarchy_stages,
+)
 from tisim.errors import ContractError, ValidationError
 from tisim.rng import uniform, uniforms
 from netgen import random_network
@@ -155,6 +166,62 @@ def test_sample_flat_chunking_is_invariant(qle):
         + t.sample_flat(dist, 3_334, seed=3, start=6_666)
     )
     assert np.array_equal(whole, parts)
+
+
+def reference_counts(candidates, u):
+    """One-shot inverse-CDF counts over all of ``u``: the mapping every sampler keeps."""
+    cum = np.cumsum([c.weight for c in candidates])
+    picks = np.searchsorted(cum / cum[-1], u, side="right")
+    return np.bincount(picks, minlength=len(candidates))
+
+
+def weighted_candidates(weights):
+    return tuple(
+        TransactionCandidate(Outcome(f"o{i}"), float(w), 0j) for i, w in enumerate(weights)
+    )
+
+
+def test_streamed_counts_equal_one_shot_reference():
+    draw = np.random.default_rng(5)
+    lists = []
+    for k in (2, 9, COMPARE_MAX, COMPARE_MAX + 1, 300):
+        weights = draw.random(k)
+        weights[draw.choice(k, size=k // 3, replace=False)] = 0.0  # zero-weight candidates
+        weights[-1] = 0.0
+        weights[0] = 0.25
+        lists.append(weighted_candidates(weights))
+    seed, start, trials = 2**64 - 3, 4 * CHUNK + 6, 2 * CHUNK + 1_001  # three chunks, start % 4 == 2
+    u = uniforms(seed, 0, start, trials)
+    for cands in lists:
+        dist = OutcomeDistribution(cands, provenance="test")
+        assert np.array_equal(t.sample_flat(dist, trials, seed, start), reference_counts(cands, u))
+        # uniforms exactly on, just below and just above every cut point resolve as searchsorted does
+        cum = np.cumsum([c.weight for c in cands])
+        cut = cum / cum[-1]
+        edges = np.concatenate([cut, np.nextafter(cut, 0.0), np.nextafter(cut, 1.0), [0.0]])
+        edges = edges[edges < 1.0]
+        assert np.array_equal(_count(cut, edges), reference_counts(cands, edges))
+
+
+def test_sample_hierarchical_streams_in_chunks(qle):
+    trials, seed = 2 * CHUNK + 7, 41
+    for ctx in (t.z_context(qle), t.y_context(qle)):
+        stages, final = _hierarchy_stages(qle, ctx)
+        flat = t.enumerate_transactions(qle, ctx)
+        index_of = {c.outcome: i for i, c in enumerate(flat.candidates)}
+        expected = np.zeros(len(flat.candidates), dtype=np.int64)
+
+        def add(cands, u):
+            np.add.at(expected, [index_of[c.outcome] for c in cands], reference_counts(cands, u))
+
+        alive = np.arange(trials)
+        for k, (p_here, inner) in enumerate(stages):
+            u = uniforms(seed, 1 + k, 0, trials)[alive]
+            fired = u < p_here
+            add(inner, u[fired] / p_here)
+            alive = alive[~fired]
+        add(final, uniforms(seed, 0, 0, trials)[alive])
+        assert t.sample_hierarchical(qle, ctx, trials, seed).counts == tuple(expected.tolist())
 
 
 # -- hierarchical resolution ------------------------------------------------------------

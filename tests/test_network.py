@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import tisim as t
-from tisim.amplitudes import SubsystemSpec, unit
+from tisim.amplitudes import SubsystemSpec, scale, unit
 from tisim.errors import ContractError, ValidationError
 from tisim.network import AtomBox, BeamSplitter, Detector, Emitter, Network
 from netgen import random_network
@@ -358,3 +358,31 @@ def test_loader_rejects_invalid_description(tmp_path, qle):
     path.write_text(json.dumps(data))
     with pytest.raises(ValidationError):
         t.load_network(path)
+
+
+def test_emitter_norm_is_checked(tmp_path, qle):
+    def scaled(net, emitter_id, factor):
+        return dataclasses.replace(
+            net,
+            elements=tuple(
+                dataclasses.replace(e, state=scale(factor, e.state)) if e.id == emitter_id else e
+                for e in net.elements
+            ),
+        )
+
+    loud = scaled(qle, "L", 2.0)
+    assert [(d.element, d.rule) for d in t.validate(loud)] == [("L", "emitter-norm")]
+    with pytest.raises(ValidationError):
+        t.enumerate_transactions(loud, t.z_context(loud))
+    path = tmp_path / "loud.json"
+    t.save_network(loud, path)
+    with pytest.raises(ValidationError, match="emitter-norm"):
+        t.load_network(path)
+    faint_atom = scaled(qle, "atom2-source", 0.5)
+    assert [(d.element, d.rule) for d in t.validate(faint_atom)] == [("atom2-source", "emitter-norm")]
+    # two photon emitters are checked as one coherent sum, not one by one
+    twin = t.two_laser_variant(qle)
+    assert t.validate(twin) == []
+    loud_twin = scaled(twin, twin.photon_emitters()[1].id, 2.0)
+    assert [(d.element, d.rule) for d in t.validate(loud_twin)] == [(None, "emitter-norm")]
+

@@ -8,6 +8,7 @@ import pytest
 
 import tisim as t
 from tisim.cli import main as cli_main
+from tisim.engine import CHUNK
 from tisim.errors import UsageError
 from tisim.network import AtomBox
 from tisim.scenarios import (
@@ -254,6 +255,30 @@ def test_cli_run_with_network_file(tmp_path):
     assert abs(json.loads(out)["photon_probabilities"]["D"] - 0.125) < 1e-12
 
 
+def test_cli_run_with_network_file_uses_its_atoms(tmp_path, capsys):
+    path = tmp_path / "hardy.json"
+    t.save_network(t.hardy_network(), path)
+    for basis in ("z", "y"):
+        assert cli_main(["run", "qle", "--exact", "--atom-basis", basis, "--network", str(path)]) == 0
+        loaded = json.loads(capsys.readouterr().out)
+        assert cli_main(["run", "hardy-ifm", "--exact", "--atom-basis", basis]) == 0
+        builtin = json.loads(capsys.readouterr().out)
+        assert loaded["outcomes"] == builtin["outcomes"]
+
+
+@pytest.mark.parametrize("case", ["missing", "not-json", "no-keys"])
+@pytest.mark.parametrize("command", [["run", "qle", "--exact"], ["path", "|L-S1-D>"]])
+def test_cli_network_file_failures_exit_two(case, command, tmp_path, capsys):
+    path = tmp_path / "net.json"
+    if case == "not-json":
+        path.write_text("{not json")
+    elif case == "no-keys":
+        path.write_text("{}")
+    assert cli_main([*command, "--network", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_cli_usage_errors_exit_two():
     code, _, err = run_cli("run", "not-a-scenario", "--exact")
     assert code == 2
@@ -297,10 +322,11 @@ def test_cli_verify_exit_three_on_failure(monkeypatch, capsys):
 # -- Monte Carlo boundaries -----------------------------------------------------------------
 
 
-class _InProcessPool:
-    """Stands in for ProcessPoolExecutor: records the pool size, starts no process."""
+class _InlinePool:
+    """Stands in for ThreadPoolExecutor: records the pool size and ranges, starts no thread."""
 
     sizes: list[int] = []
+    ranges: list[tuple[int, int]] = []
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
@@ -312,21 +338,36 @@ class _InProcessPool:
         return False
 
     def map(self, fn, items):
+        items = list(items)
+        self.ranges.extend(items)
         return map(fn, items)
 
 
-def test_worker_pool_is_capped_by_cpus_and_trials(monkeypatch):
+def test_worker_threads_are_capped_by_cpus_and_chunks(monkeypatch):
     import tisim.scenarios as scenarios
 
-    monkeypatch.setattr(_InProcessPool, "sizes", [])
-    monkeypatch.setattr(scenarios, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(_InlinePool, "ranges", [])
+    monkeypatch.setattr(scenarios, "ThreadPoolExecutor", _InlinePool)
     monkeypatch.setattr(scenarios.os, "cpu_count", lambda: 3)
     scenario = build_scenario("qle")
-    many = run_mc(scenario, trials=10_000, seed=4, workers=5000)
-    assert _InProcessPool.sizes == [3]
-    assert many.payload_equal(run_mc(scenario, trials=10_000, seed=4, workers=1))
-    run_mc(scenario, trials=2, seed=4, workers=5000)
-    assert _InProcessPool.sizes == [3, 2]
+    many = run_mc(scenario, trials=4 * CHUNK, seed=4, workers=5000)
+    assert _InlinePool.sizes == [3]
+    assert [lo for lo, _ in _InlinePool.ranges] == [0, CHUNK, 2 * CHUNK]
+    assert many.payload_equal(run_mc(scenario, trials=4 * CHUNK, seed=4, workers=1))
+    run_mc(scenario, trials=CHUNK + 1, seed=4, workers=5000)
+    assert _InlinePool.sizes == [3, 2]
+    run_mc(scenario, trials=10_000, seed=4, workers=5000)  # one chunk runs inline
+    assert _InlinePool.sizes == [3, 2]
+
+
+def test_mc_threads_match_one_worker_across_chunks():
+    scenario = build_scenario("hardy-ifm", post_select="D")
+    trials = 2 * CHUNK + 3
+    one = run_mc(scenario, trials=trials, seed=2**63 + 1, workers=1)
+    two = run_mc(scenario, trials=trials, seed=2**63 + 1, workers=2)
+    assert one.payload_equal(two)
+    assert sum(row["count"] for row in two.outcomes) == trials
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
