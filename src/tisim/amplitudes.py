@@ -237,18 +237,28 @@ def rebase(a, subsystem: str, matrix, new_symbols: tuple[str, str]):
     if len(new_symbols) != 2:
         raise ValidationError("exactly two new basis symbols required")
     coeff = m.conj() if isinstance(a, Ket) else m
-    new_spec = SubsystemSpec(spec.id, spec.kind, new_symbols)
-    new_space = a.space[:i] + (new_spec,) + a.space[i + 1 :]
+    mapping = {
+        old: [(new, coeff[j, k]) for j, new in enumerate(new_symbols) if abs(coeff[j, k]) >= PRUNE]
+        for k, old in enumerate(spec.basis)
+    }
+    return _apply_symbol_map(a, i, mapping, SubsystemSpec(spec.id, spec.kind, new_symbols))
+
+
+def _apply_symbol_map(state, i: int, mapping, spec: SubsystemSpec | None = None):
+    """Linear map on slot ``i``: each symbol in ``mapping`` becomes its
+    ``(new_symbol, factor)`` branches, summed; other symbols pass unchanged.
+    ``spec`` replaces the slot's subsystem when the map changes its basis."""
+    space = state.space if spec is None else state.space[:i] + (spec,) + state.space[i + 1 :]
     terms: dict[Label, complex] = {}
-    for label, amp in a.terms.items():
-        k = spec.basis.index(label[i])
-        for j, new_sym in enumerate(new_symbols):
-            c = coeff[j, k]
-            if abs(c) < PRUNE:
-                continue
-            new_label = label[:i] + (new_sym,) + label[i + 1 :]
-            terms[new_label] = terms.get(new_label, 0j) + c * amp
-    return type(a)(new_space, terms)
+    for label, amp in state.terms.items():
+        branches = mapping.get(label[i])
+        if branches is None:
+            terms[label] = terms.get(label, 0j) + amp
+            continue
+        for sym, factor in branches:
+            new_label = label[:i] + (sym,) + label[i + 1 :]
+            terms[new_label] = terms.get(new_label, 0j) + factor * amp
+    return type(state)(space, terms)
 
 
 def approx_equal(a, b, tol: float = TOL) -> bool:

@@ -38,7 +38,9 @@ from .amplitudes import (
     Label,
     Space,
     SubsystemSpec,
+    _apply_symbol_map,
     add,
+    approx_equal,
     dual,
     inner,
     norm_sq,
@@ -54,22 +56,12 @@ _T = 1.0 / math.sqrt(2.0)  # transmission
 
 @dataclass(frozen=True)
 class Emitter:
-    """A source.  ``state`` is the emitted ket over this emitter's subsystems.
-
-    ``cw_filter`` is the confirmation-wave filter applied when a CW reaches
-    the source; a CW can only complete a transaction through the component
-    matching what the source emitted, so the filter defaults to the dual of
-    the emitted state.
-    """
+    """A source.  ``state`` is the emitted ket over this emitter's subsystems;
+    the backward pass filters a returning confirmation wave against it."""
 
     id: str
     rank: int
     state: Ket
-    cw_filter: Bra | None = None
-
-    @property
-    def filter_bra(self) -> Bra:
-        return self.cw_filter if self.cw_filter is not None else dual(self.state)
 
 
 @dataclass(frozen=True)
@@ -452,19 +444,6 @@ def _with_atom_sources(network: Network, state: Ket) -> Ket:
     return state
 
 
-def _apply_symbol_map(state, photon_i: int, mapping) -> Ket:
-    terms: dict[Label, complex] = {}
-    for label, amp in state.terms.items():
-        branches = mapping.get(label[photon_i])
-        if branches is None:
-            terms[label] = terms.get(label, 0j) + amp
-            continue
-        for out_sym, factor in branches:
-            new_label = label[:photon_i] + (out_sym,) + label[photon_i + 1 :]
-            terms[new_label] = terms.get(new_label, 0j) + factor * amp
-    return type(state)(state.space, terms)
-
-
 def _transpose_map(mapping) -> dict[str, list[tuple[str, complex]]]:
     out: dict[str, list[tuple[str, complex]]] = {}
     for in_sym, branches in mapping.items():
@@ -473,46 +452,28 @@ def _transpose_map(mapping) -> dict[str, list[tuple[str, complex]]]:
     return out
 
 
-def _box_swaps(network: Network, box: AtomBox) -> tuple[int, int, int, str, str]:
+def _box_relabel(network: Network, box: AtomBox):
+    """The box as a label involution: ``(path, blocking, ground) <-> (marker,
+    blocking, excited)`` on the (photon, spin, level) slots; every other label
+    is returned as the same object."""
     photon_i = network.photon_index
     atom_i = subsystem_index(network.subsystems, box.atom)
     level_i = subsystem_index(network.subsystems, box.level)
-    level_spec = network.subsystems[level_i]
-    ground, excited = level_spec.basis
-    return photon_i, atom_i, level_i, ground, excited
+    ground, excited = network.subsystems[level_i].basis
+    swap = {
+        (box.path, box.blocking, ground): (box.marker, excited),
+        (box.marker, box.blocking, excited): (box.path, ground),
+    }
 
+    def relabel(label: Label) -> Label:
+        hit = swap.get((label[photon_i], label[atom_i], label[level_i]))
+        if hit is None:
+            return label
+        new = list(label)
+        new[photon_i], new[level_i] = hit
+        return tuple(new)
 
-def _apply_box_forward(network: Network, box: AtomBox, state: Ket) -> tuple[Ket, Ket]:
-    photon_i, atom_i, level_i, ground, excited = _box_swaps(network, box)
-    keep: dict[Label, complex] = {}
-    taken: dict[Label, complex] = {}
-    for label, amp in state.terms.items():
-        if label[photon_i] == box.path and label[atom_i] == box.blocking and label[level_i] == ground:
-            new_label = list(label)
-            new_label[photon_i] = box.marker
-            new_label[level_i] = excited
-            taken[tuple(new_label)] = amp
-        else:
-            keep[label] = amp
-    return Ket(state.space, keep), Ket(state.space, taken)
-
-
-def _apply_box_backward(network: Network, box: AtomBox, state: Bra) -> Bra:
-    photon_i, atom_i, level_i, ground, excited = _box_swaps(network, box)
-    terms: dict[Label, complex] = {}
-    for label, amp in state.terms.items():
-        new_label = label
-        if label[atom_i] == box.blocking:
-            if label[photon_i] == box.path and label[level_i] == ground:
-                l = list(label)
-                l[photon_i], l[level_i] = box.marker, excited
-                new_label = tuple(l)
-            elif label[photon_i] == box.marker and label[level_i] == excited:
-                l = list(label)
-                l[photon_i], l[level_i] = box.path, ground
-                new_label = tuple(l)
-        terms[new_label] = terms.get(new_label, 0j) + amp
-    return Bra(state.space, terms)
+    return relabel
 
 
 def forward_propagate(network: Network, initial: Ket | None = None) -> PropagationTrace:
@@ -543,7 +504,13 @@ def forward_propagate(network: Network, initial: Ket | None = None) -> Propagati
             state = _apply_symbol_map(state, photon_i, element.forward_map())
         elif isinstance(element, AtomBox):
             before = norm_sq(state)
-            state, taken = _apply_box_forward(network, element, state)
+            # no term carries the marker before its box, so a moved label is an absorbed term
+            relabel = _box_relabel(network, element)
+            parts: tuple[dict[Label, complex], dict[Label, complex]] = ({}, {})
+            for label, amp in state.terms.items():
+                moved = relabel(label)
+                parts[moved is not label][moved] = amp
+            state, taken = Ket(state.space, parts[0]), Ket(state.space, parts[1])
             absorbed.append((element.id, taken))
             fractions.append(norm_sq(taken) / before if before > 0 else 0.0)
         # emitters and detectors do not transform the in-flight state
@@ -597,9 +564,7 @@ def backward_propagate(
     anchor_box = next((b for b in network.boxes() if b.marker == anchor_symbol), None)
 
     # assemble the joint anchor bra in declaration order
-    sub_by_id = {s.id: s for s in network.subsystems}
     joint = confirmation
-    source_side_atom_bras: dict[str, Bra] = {}
     for spec in network.subsystems[1:]:
         if spec.kind == "atom-spin":
             spin = atom_bras.get(spec.id)
@@ -611,7 +576,7 @@ def backward_propagate(
             if spin.space != (spec,):
                 raise StructuralError(f"confirmation bra for {spec.id!r} is on the wrong space")
             joint = tensor(joint, spin)
-            source_side_atom_bras[spec.id] = spin
+            atom_bras[spec.id] = spin
         elif spec.kind == "atom-level":
             ground, excited = spec.basis
             sym = excited if (anchor_box is not None and anchor_box.level == spec.id) else ground
@@ -624,7 +589,8 @@ def backward_propagate(
         if isinstance(element, (BeamSplitter, Mirror)):
             joint = _apply_symbol_map(joint, photon_i, _transpose_map(element.forward_map()))
         elif isinstance(element, AtomBox):
-            joint = _apply_box_backward(network, element, joint)
+            relabel = _box_relabel(network, element)  # a bijection: no two terms merge
+            joint = Bra(joint.space, {relabel(label): amp for label, amp in joint.terms.items()})
 
     # per-sector amplitudes at the sources
     sector: dict[str, complex] = {}
@@ -633,19 +599,18 @@ def backward_propagate(
     for e in network.emitters():
         if e in photon_emitters:
             continue
-        spin_spec = e.state.space[0]
-        level_spec = e.state.space[1] if len(e.state.space) > 1 else None
-        bra = source_side_atom_bras[spin_spec.id]
-        if level_spec is not None:
-            # the box backward map restores ground level before the source
-            bra = tensor(bra, unit((level_spec,), (level_spec.basis[0],), bra=True))
+        spin_spec, *level = e.state.space
+        bra = atom_bras[spin_spec.id]
+        for spec in level:  # the box relabel restores the ground level before the source
+            bra = tensor(bra, unit((spec,), (spec.basis[0],), bra=True))
         a_k = inner(bra, e.state)
         sector[e.id] = a_k
         atom_product *= a_k
 
-    a_total = inner(joint, emitted_state(network))
-    for e in photon_emitters:
-        s_e = inner(joint, _with_atom_sources(network, e.state))
+    # the photon sources add coherently: the joint amplitude is the sum of their couplings
+    couplings = [inner(joint, _with_atom_sources(network, e.state)) for e in photon_emitters]
+    a_total = sum(couplings)
+    for e, s_e in zip(photon_emitters, couplings):
         sector[e.id] = s_e / atom_product if abs(atom_product) > 0 else 0j
 
     emitter_amplitudes = {
@@ -703,9 +668,7 @@ def two_laser_variant(network: Network) -> Network:
     new_emitters = []
     for sym, factor in ((out0, _R), (out1, _T)):
         state = unit((photon,), (sym,), src_amp * factor)
-        new_emitters.append(
-            Emitter(id=f"{emitter.id}-{sym}", rank=emitter.rank, state=state, cw_filter=dual(state))
-        )
+        new_emitters.append(Emitter(id=f"{emitter.id}-{sym}", rank=emitter.rank, state=state))
     elements = tuple(
         e for e in network.elements if e.id not in (emitter.id, splitter.id)
     ) + tuple(new_emitters)
@@ -753,8 +716,6 @@ def network_to_dict(network: Network) -> dict:
                 "subsystems": [s.id for s in e.state.space],
                 "state": _ket_to_json(e.state),
             }
-            if e.cw_filter is not None:
-                item["params"]["filter"] = _ket_to_json(e.cw_filter)
         elif isinstance(e, BeamSplitter):
             item["variant"] = "beam-splitter"
             item["params"] = {"inputs": list(e.inputs), "outputs": list(e.outputs)}
@@ -825,8 +786,11 @@ def _parse_network(data: Mapping) -> Network:
         if variant == "emitter":
             space = tuple(by_id[sid] for sid in params["subsystems"])
             state = _ket_from_json(space, params["state"])
-            cw = _ket_from_json(space, params["filter"], bra=True) if "filter" in params else None
-            elements.append(Emitter(eid, rank, state, cw))
+            # older files carry a confirmation filter; the backward pass uses the dual of the state
+            cw = params.get("filter")
+            if cw is not None and not approx_equal(_ket_from_json(space, cw, bra=True), dual(state)):
+                raise ValidationError(f"emitter {eid!r}: a filter must be the dual of the emitted state")
+            elements.append(Emitter(eid, rank, state))
         elif variant == "beam-splitter":
             elements.append(BeamSplitter(eid, rank, tuple(params["inputs"]), tuple(params["outputs"])))
         elif variant == "mirror":
