@@ -431,6 +431,8 @@ def sample_hierarchical(
 ) -> OutcomeDistribution:
     """Vectorized hierarchical sampling, CHUNK trials at a time; counts align
     with the flat candidates."""
+    if trials < 1:
+        raise UsageError("trials must be >= 1")
     stages, final = _hierarchy_stages(network, context)
     flat = _flat(network, context, stages, final)
     index_of = {c.outcome: i for i, c in enumerate(flat.candidates)}

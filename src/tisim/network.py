@@ -23,6 +23,7 @@ Conventions, fixed once for the whole package:
 
 from __future__ import annotations
 
+import cmath
 import graphlib
 import json
 import math
@@ -333,6 +334,14 @@ def validate(network: Network) -> list[Diagnostic]:
         if sym not in consumed:
             add_diag(els[0].id, "unconsumed-symbol", f"photon symbol {sym!r} produced but never consumed")
 
+    # splitters are 2x2 (one input port may be vacuum); mirrors only shift the phase
+    for e in network.elements:
+        if isinstance(e, BeamSplitter) and not (1 <= len(e.inputs) <= 2 and len(e.outputs) == 2):
+            n_in, n_out = len(e.inputs), len(e.outputs)
+            add_diag(e.id, "splitter-arity", f"{n_in} inputs and {n_out} outputs, expected 1 or 2 and 2")
+        elif isinstance(e, Mirror) and not abs(abs(e.phase) - 1.0) <= TOL:  # a NaN phase fails too
+            add_diag(e.id, "mirror-unitary", f"phase {e.phase!r} has modulus {abs(e.phase)!r}, expected 1 within {TOL}")
+
     # detectors consume distinct symbols
     det_syms = [d.input for d in network.detectors()]
     if len(set(det_syms)) != len(det_syms):
@@ -641,8 +650,8 @@ def two_laser_variant(network: Network) -> Network:
 
     The photon subsystem is shared: the transferred quantum has no identity
     beyond the boundary conditions it satisfies, so the two sources emit into
-    one path space and each source's confirmation filter accepts only its own
-    component.
+    one path space and the backward pass filters at each source against its
+    own component.
     """
     emitters = network.photon_emitters()
     if len(emitters) != 1:
@@ -698,11 +707,18 @@ def _ket_to_json(state: Ket | Bra) -> list[dict]:
     return out
 
 
-def _ket_from_json(space: Space, entries: Iterable[Mapping], bra: bool = False) -> Ket | Bra:
+def _finite(eid: str, re, im) -> complex:
+    z = complex(re, im)
+    if not cmath.isfinite(z):
+        raise ValidationError(f"element {eid!r} has a non-finite amplitude {z!r}")
+    return z
+
+
+def _ket_from_json(eid: str, space: Space, entries: Iterable[Mapping], bra: bool = False) -> Ket | Bra:
     terms: dict[Label, complex] = {}
     for entry in entries:
         label = tuple(entry["label"][spec.id] for spec in space)
-        terms[label] = complex(entry["re"], entry.get("im", 0.0))
+        terms[label] = _finite(eid, entry["re"], entry.get("im", 0.0))
     return (Bra if bra else Ket)(space, terms)
 
 
@@ -785,17 +801,18 @@ def _parse_network(data: Mapping) -> Network:
         eid, rank = item["id"], int(item["rank"])
         if variant == "emitter":
             space = tuple(by_id[sid] for sid in params["subsystems"])
-            state = _ket_from_json(space, params["state"])
+            state = _ket_from_json(eid, space, params["state"])
             # older files carry a confirmation filter; the backward pass uses the dual of the state
             cw = params.get("filter")
-            if cw is not None and not approx_equal(_ket_from_json(space, cw, bra=True), dual(state)):
+            if cw is not None and not approx_equal(_ket_from_json(eid, space, cw, bra=True), dual(state)):
                 raise ValidationError(f"emitter {eid!r}: a filter must be the dual of the emitted state")
             elements.append(Emitter(eid, rank, state))
         elif variant == "beam-splitter":
             elements.append(BeamSplitter(eid, rank, tuple(params["inputs"]), tuple(params["outputs"])))
         elif variant == "mirror":
             phase = params.get("phase", {"re": 1.0, "im": 0.0})
-            elements.append(Mirror(eid, rank, params["input"], params["output"], complex(phase["re"], phase["im"])))
+            phase = _finite(eid, phase["re"], phase["im"])
+            elements.append(Mirror(eid, rank, params["input"], params["output"], phase))
         elif variant == "atom-box":
             elements.append(AtomBox(eid, rank, params["atom"], params["blocking"], params["path"], params["level"]))
         elif variant == "detector":

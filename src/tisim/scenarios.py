@@ -63,7 +63,7 @@ def _atom_pair(idx: int, amp_up: complex) -> tuple[SubsystemSpec, SubsystemSpec,
     """A spin-1/2 atom subsystem pair plus its source.
 
     The source emits ``amp_up |+> + (1/sqrt(2)) |->`` tensored with the ground
-    level; its confirmation filter is the matching dual, so a returning z
+    level; the backward pass filters against that state, so a returning z
     eigenstate is attenuated by its overlap with the prepared state.
     """
     spin = SubsystemSpec(f"atom{idx}", "atom-spin", ("+", "-"))

@@ -1,4 +1,5 @@
-"""Seeded random-network builder for conservation and echo property tests."""
+"""Seeded random networks for property tests, and edited builtin
+descriptions for the validator's boundary tests."""
 
 from __future__ import annotations
 
@@ -7,13 +8,20 @@ import math
 import numpy as np
 
 from tisim.amplitudes import Ket, SubsystemSpec, tensor, unit
-from tisim.network import AtomBox, BeamSplitter, Detector, Emitter, Mirror, Network
+from tisim.network import AtomBox, BeamSplitter, Detector, Emitter, Mirror, Network, network_to_dict
+from tisim.scenarios import qle_network
 
 
 def random_network(rng: np.random.Generator, index: int) -> Network:
-    """A random layered interferometer with 1-3 splitters and 0-2 boxed atoms."""
+    """A random layered interferometer with 1-3 splitters and 0-2 boxed atoms.
+
+    A splitter may merge two open paths.  Boxes sit between the splitters or
+    after the last one; an atom that already has a box may get a second one,
+    which shares its level subsystem.
+    """
     n_bs = int(rng.integers(1, 4))
     n_atoms = int(rng.integers(0, 3))
+    n_boxes = n_atoms + int(n_atoms > 0 and rng.random() < 0.5)
 
     counter = 0
 
@@ -26,11 +34,51 @@ def random_network(rng: np.random.Generator, index: int) -> Network:
     symbols = ["p0"]
     elements: list = []
     rank = 1
+    specs: list[SubsystemSpec] = []
+    emitters: list[Emitter] = []
+    atoms: list[tuple[str, str]] = []  # (spin id, level id) of each atom
+    markers: list[str] = []
+    box_paths: set[str] = set()
+
+    def add_box() -> None:
+        nonlocal rank
+        open_paths = [s for s in frontier if s not in box_paths]
+        if not open_paths:
+            return
+        path = open_paths[int(rng.integers(len(open_paths)))]
+        box_paths.add(path)
+        if len(atoms) < n_atoms:
+            a = len(atoms)
+            spin = SubsystemSpec(f"spin{a}", "atom-spin", ("+", "-"))
+            level = SubsystemSpec(f"level{a}", "atom-level", ("0", "1"))
+            raw = rng.normal(size=4)
+            up, down = complex(raw[0], raw[1]), complex(raw[2], raw[3])
+            nrm = math.sqrt(abs(up) ** 2 + abs(down) ** 2)
+            state = tensor(
+                Ket((spin,), {("+",): up / nrm, ("-",): down / nrm}),
+                unit((level,), ("0",)),
+            )
+            emitters.append(Emitter(f"src{a}", 0, state))
+            atoms.append((spin.id, level.id))
+            specs.extend((spin, level))
+            spin_id, level_id = atoms[-1]
+        else:
+            spin_id, level_id = atoms[int(rng.integers(len(atoms)))]
+        blocking = "+" if rng.random() < 0.5 else "-"
+        marker = f"box{len(markers)}"
+        elements.append(AtomBox(marker, rank, spin_id, blocking, path, level_id))
+        rank += 1
+        markers.append(marker)
+
     for k in range(n_bs):
-        sym = frontier.pop(int(rng.integers(len(frontier))))
+        while len(markers) < n_boxes and rng.random() < 0.3:
+            add_box()
+        ins = [frontier.pop(int(rng.integers(len(frontier))))]
+        if frontier and rng.random() < 0.35:
+            ins.append(frontier.pop(int(rng.integers(len(frontier)))))
         o1, o2 = new_sym(), new_sym()
         symbols += [o1, o2]
-        elements.append(BeamSplitter(f"bs{k}", rank, (sym,), (o1, o2)))
+        elements.append(BeamSplitter(f"bs{k}", rank, tuple(ins), (o1, o2)))
         rank += 1
         frontier += [o1, o2]
         if rng.random() < 0.4:
@@ -41,32 +89,8 @@ def random_network(rng: np.random.Generator, index: int) -> Network:
             elements.append(Mirror(f"m{k}", rank, sym2, o3, phase))
             rank += 1
             frontier.append(o3)
-
-    specs: list[SubsystemSpec] = []
-    emitters: list[Emitter] = []
-    markers: list[str] = []
-    box_paths: set[str] = set()
-    for a in range(n_atoms):
-        open_paths = [s for s in frontier if s not in box_paths]
-        if not open_paths:
-            break
-        path = open_paths[int(rng.integers(len(open_paths)))]
-        box_paths.add(path)
-        spin = SubsystemSpec(f"spin{a}", "atom-spin", ("+", "-"))
-        level = SubsystemSpec(f"level{a}", "atom-level", ("0", "1"))
-        raw = rng.normal(size=4)
-        up, down = complex(raw[0], raw[1]), complex(raw[2], raw[3])
-        nrm = math.sqrt(abs(up) ** 2 + abs(down) ** 2)
-        state = tensor(
-            Ket((spin,), {("+",): up / nrm, ("-",): down / nrm}),
-            unit((level,), ("0",)),
-        )
-        emitters.append(Emitter(f"src{a}", 0, state))
-        blocking = "+" if rng.random() < 0.5 else "-"
-        elements.append(AtomBox(f"box{a}", rank, f"spin{a}", blocking, path, f"level{a}"))
-        rank += 1
-        markers.append(f"box{a}")
-        specs += [spin, level]
+    for _ in range(n_boxes - len(markers)):
+        add_box()
 
     for i, sym in enumerate(sorted(frontier)):
         elements.append(Detector(f"det{i}", rank, sym))
@@ -75,3 +99,29 @@ def random_network(rng: np.random.Generator, index: int) -> Network:
     elements.append(Emitter("L", 0, unit((photon,), ("p0",))))
     elements.extend(emitters)
     return Network(f"random-{index}", (photon, *specs), tuple(elements))
+
+
+def qle_with_mirror(re, im=0.0) -> dict:
+    """The qle description with a mirror ``M``: v -> w, phase ``re + i im``, in front of S2."""
+    data = network_to_dict(qle_network())
+    data["subsystems"][0]["basis"].append("w")
+    for item in data["elements"]:
+        if item["id"] == "S2":
+            item["rank"] = 4
+            item["params"]["inputs"] = ["u", "w"]
+        elif item["variant"] == "detector":
+            item["rank"] = 5
+    params = {"input": "v", "output": "w", "phase": {"re": re, "im": im}}
+    data["elements"].append({"id": "M", "rank": 3, "variant": "mirror", "params": params})
+    return data
+
+
+def qle_with_three_outputs() -> dict:
+    """The qle description with S2 putting out ``[d, c, x]``, ``x`` watched by detector ``X``."""
+    data = network_to_dict(qle_network())
+    data["subsystems"][0]["basis"].append("x")
+    for item in data["elements"]:
+        if item["id"] == "S2":
+            item["params"]["outputs"] = ["d", "c", "x"]
+    data["elements"].append({"id": "X", "rank": 4, "variant": "detector", "params": {"input": "x"}})
+    return data

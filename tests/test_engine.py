@@ -18,7 +18,7 @@ from tisim.engine import (
     _count,
     _hierarchy_stages,
 )
-from tisim.errors import ContractError, ValidationError
+from tisim.errors import ContractError, UsageError, ValidationError
 from tisim.rng import uniform, uniforms
 from netgen import random_network
 
@@ -475,3 +475,38 @@ def test_streams_differ_by_seed_and_lane():
     base = uniforms(1, 0, 0, 64)
     assert not np.array_equal(base, uniforms(2, 0, 0, 64))
     assert not np.array_equal(base, uniforms(1, 1, 0, 64))
+
+
+def hardy_with_second_box():
+    """hardy with a second box on atom1 (blocking -, on arm u) sharing its level."""
+    hardy = t.hardy_network()
+    photon = t.SubsystemSpec("photon", "photon-path", hardy.photon.basis + ("box-u",))
+    elements = tuple(
+        t.Emitter("L", 0, t.unit((photon,), ("s",))) if e.id == "L" else e for e in hardy.elements
+    )
+    elements += (t.AtomBox("box-u", 2, "atom1", "-", "u", "atom1-level"),)
+    return dataclasses.replace(hardy, subsystems=(photon, *hardy.subsystems[1:]), elements=elements)
+
+
+def test_born_echo_and_hierarchy_agree_on_random_networks_in_every_basis():
+    rng = np.random.default_rng(4711)
+    nets = [random_network(rng, index) for index in range(40)] + [hardy_with_second_box()]
+    # the sample covers splitter merges and atoms with two boxes
+    assert any(len(e.inputs) == 2 for net in nets for e in net.elements if isinstance(e, t.BeamSplitter))
+    assert any(len({b.atom for b in net.boxes()}) < len(net.boxes()) for net in nets)
+    for net in nets:
+        bloch = MeasurementContext({a.id: AtomBasis.bloch(0.7, 1.3) for a in net.atoms()})
+        for ctx in (t.z_context(net), t.y_context(net), bloch):
+            flat = t.enumerate_transactions(net, ctx)
+            hier = t.hierarchical_distribution(net, ctx)
+            assert abs(flat.total_weight() - 1.0) < 1e-12
+            assert [c.outcome for c in flat.candidates] == [c.outcome for c in hier.candidates]
+            for a, b in zip(flat.candidates, hier.candidates):
+                assert abs(a.weight - b.weight) < 1e-12
+                assert abs(a.weight - t.echo_weight(net, a.outcome, ctx)) < 1e-12
+
+
+def test_sample_hierarchical_needs_a_positive_trial_count(qle):
+    for trials in (-5, 0):
+        with pytest.raises(UsageError, match="trials must be >= 1"):
+            t.sample_hierarchical(qle, t.z_context(qle), trials, seed=1)

@@ -1,4 +1,6 @@
+import cmath
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -7,8 +9,8 @@ import pytest
 import tisim as t
 from tisim.amplitudes import SubsystemSpec, scale, unit
 from tisim.errors import ContractError, ValidationError
-from tisim.network import AtomBox, BeamSplitter, Detector, Emitter, Network
-from netgen import random_network
+from tisim.network import AtomBox, BeamSplitter, Detector, Emitter, Network, _ket_to_json, _parse_network
+from netgen import qle_with_mirror, qle_with_three_outputs, random_network
 
 RT2 = math.sqrt(2.0)
 R = 1.0 / (2.0 * RT2)
@@ -228,7 +230,7 @@ def outcome_bra_label(net, candidate):
         if spec.kind == "atom-spin":
             label.append(dict(candidate.outcome.atoms)[spec.id])
         else:
-            box = next((b for b in net.boxes() if b.level == spec.id), None)
+            box = next((b for b in net.boxes() if b.level == spec.id and b.id == candidate.outcome.photon), None)
             excited = box is not None and candidate.outcome.excited == box.atom and \
                 candidate.outcome.photon == box.id
             label.append(spec.basis[1] if excited else spec.basis[0])
@@ -386,3 +388,92 @@ def test_emitter_norm_is_checked(tmp_path, qle):
     loud_twin = scaled(twin, twin.photon_emitters()[1].id, 2.0)
     assert [(d.element, d.rule) for d in t.validate(loud_twin)] == [(None, "emitter-norm")]
 
+
+
+# -- boundaries: element arity, mirror phases, finite amplitudes, filters --------------
+
+
+def with_mirror_phase(net, phase):
+    return dataclasses.replace(
+        net,
+        elements=tuple(dataclasses.replace(e, phase=phase) if e.id == "M" else e for e in net.elements),
+    )
+
+
+def test_mirror_phase_must_have_unit_modulus():
+    net = _parse_network(qle_with_mirror(0.6, 0.8))
+    assert t.validate(net) == []
+    assert t.validate(with_mirror_phase(net, cmath.exp(0.3j) * (1.0 + 1e-13))) == []
+    # phase 2 put the photon probabilities' sum at 1.75; a NaN phase was pruned to 0.75
+    for phase in (2.0, 0.5j, 1.0 + 1e-9, complex(math.nan, 0.0), complex(0.0, math.inf)):
+        bad = with_mirror_phase(net, phase)
+        assert [(d.element, d.rule) for d in t.validate(bad)] == [("M", "mirror-unitary")]
+        with pytest.raises(ValidationError, match="mirror-unitary"):
+            t.enumerate_transactions(bad, t.z_context(bad))
+    with pytest.raises(ValidationError, match=r"mirror-unitary \[M\]"):
+        t.network_from_dict(qle_with_mirror(2.0))
+
+
+def test_splitter_takes_one_or_two_inputs_and_gives_two_outputs():
+    wide = _parse_network(qle_with_three_outputs())
+    assert [(d.element, d.rule) for d in t.validate(wide)] == [("S2", "splitter-arity")]
+    with pytest.raises(ValidationError, match="splitter-arity"):
+        t.enumerate_transactions(wide, t.z_context(wide))
+    with pytest.raises(ValidationError, match=r"splitter-arity \[S2\]"):
+        t.network_from_dict(qle_with_three_outputs())
+
+
+@pytest.mark.parametrize(
+    "element, field, value",
+    [("L", "re", math.nan), ("atom2-source", "im", math.inf), ("M", "re", -math.inf), ("M", "im", math.nan)],
+)
+def test_loader_rejects_non_finite_amplitudes(element, field, value):
+    data = qle_with_mirror(0.6, 0.8)
+    item = next(item for item in data["elements"] if item["id"] == element)
+    if item["variant"] == "mirror":
+        item["params"]["phase"][field] = value
+    else:
+        item["params"]["state"][-1][field] = value
+    with pytest.raises(ValidationError, match=f"element '{element}' has a non-finite amplitude"):
+        t.network_from_dict(json.loads(json.dumps(data)))
+
+
+def two_laser_with_filters(qle):
+    """The two-laser description in the older format, which also wrote each
+    photon emitter's confirmation filter: the dual of its emitted state."""
+    twin = t.two_laser_variant(qle)
+    data = t.network_to_dict(twin)
+    for e in twin.photon_emitters():
+        item = next(item for item in data["elements"] if item["id"] == e.id)
+        item["params"]["filter"] = _ket_to_json(t.dual(e.state))
+    return data
+
+
+def test_two_laser_file_with_filters_still_loads(tmp_path, qle):
+    twin = t.two_laser_variant(qle)
+    assert "filter" not in json.dumps(t.network_to_dict(twin))
+    path = tmp_path / "twin.json"
+    path.write_text(json.dumps(two_laser_with_filters(qle)))
+    loaded = t.load_network(path)
+    assert t.network_to_dict(loaded) == t.network_to_dict(twin)
+    for ctx in (t.z_context(twin), t.y_context(twin)):
+        a, b = t.enumerate_transactions(loaded, ctx), t.enumerate_transactions(twin, ctx)
+        assert a == b
+        assert [t.echo_weight(loaded, c.outcome, ctx) for c in a.candidates] == [
+            t.echo_weight(twin, c.outcome, ctx) for c in b.candidates
+        ]
+
+
+def test_filter_other_than_the_dual_is_rejected(qle):
+    data = two_laser_with_filters(qle)
+    filtered = [item for item in data["elements"] if "filter" in item.get("params", {})]
+    assert len(filtered) == 2
+    filtered[1]["params"]["filter"][0]["re"] += 1e-9
+    with pytest.raises(ValidationError, match="filter must be the dual"):
+        t.network_from_dict(data)
+    # the backward pass never read a filter: this one was accepted and changed nothing
+    data = t.network_to_dict(qle)
+    item = next(item for item in data["elements"] if item["id"] == "atom1-source")
+    item["params"]["filter"] = [{"label": {"atom1": "-", "atom1-level": "0"}, "re": 5.0, "im": 0.0}]
+    with pytest.raises(ValidationError, match="emitter 'atom1-source': a filter must be the dual"):
+        t.network_from_dict(data)

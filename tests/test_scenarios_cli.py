@@ -11,6 +11,7 @@ from tisim.cli import main as cli_main
 from tisim.engine import CHUNK
 from tisim.errors import UsageError
 from tisim.network import AtomBox
+from netgen import qle_with_mirror, qle_with_three_outputs
 from tisim.scenarios import (
     Check,
     RunReport,
@@ -277,6 +278,38 @@ def test_cli_network_file_failures_exit_two(case, command, tmp_path, capsys):
     assert cli_main([*command, "--network", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def with_nan_emitter() -> dict:
+    data = t.network_to_dict(t.qle_network())
+    next(item for item in data["elements"] if item["id"] == "L")["params"]["state"][0]["re"] = math.nan
+    return data
+
+
+def with_foreign_filter() -> dict:
+    data = t.network_to_dict(t.qle_network())
+    item = next(item for item in data["elements"] if item["id"] == "atom1-source")
+    item["params"]["filter"] = [{"label": {"atom1": "-", "atom1-level": "0"}, "re": 5.0, "im": 0.0}]
+    return data
+
+
+@pytest.mark.parametrize(
+    "description, message",
+    [
+        (lambda: qle_with_mirror(2.0), "mirror-unitary [M]"),
+        (lambda: qle_with_mirror(math.nan), "element 'M' has a non-finite amplitude"),
+        (with_nan_emitter, "element 'L' has a non-finite amplitude"),
+        (qle_with_three_outputs, "splitter-arity [S2]"),
+        (with_foreign_filter, "emitter 'atom1-source': a filter must be the dual"),
+    ],
+)
+@pytest.mark.parametrize("command", [["run", "qle", "--exact"], ["run", "qle", "--trials", "100"]])
+def test_cli_rejects_unphysical_descriptions(description, message, command, tmp_path, capsys):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(description()))
+    assert cli_main([*command, "--network", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
 
 def test_cli_usage_errors_exit_two():
