@@ -23,7 +23,6 @@ Conventions, fixed once for the whole package:
 
 from __future__ import annotations
 
-import cmath
 import graphlib
 import json
 import math
@@ -709,7 +708,7 @@ def _ket_to_json(state: Ket | Bra) -> list[dict]:
 
 def _finite(eid: str, re, im) -> complex:
     z = complex(re, im)
-    if not cmath.isfinite(z):
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValidationError(f"element {eid!r} has a non-finite amplitude {z!r}")
     return z
 
