@@ -11,7 +11,6 @@ from tisim.cli import main as cli_main
 from tisim.engine import CHUNK
 from tisim.errors import UsageError
 from tisim.network import AtomBox
-from netgen import qle_with_mirror, qle_with_three_outputs
 from tisim.scenarios import (
     Check,
     RunReport,
@@ -21,6 +20,7 @@ from tisim.scenarios import (
     scenario_names,
     verification_checks,
 )
+from netgen import qle_with_mirror, qle_with_three_outputs
 
 RT2 = math.sqrt(2.0)
 
@@ -287,6 +287,7 @@ def with_nan_emitter() -> dict:
 
 
 def with_foreign_filter() -> dict:
+    # the backward pass filters against the emitted state, so no other filter can be honoured
     data = t.network_to_dict(t.qle_network())
     item = next(item for item in data["elements"] if item["id"] == "atom1-source")
     item["params"]["filter"] = [{"label": {"atom1": "-", "atom1-level": "0"}, "re": 5.0, "im": 0.0}]
