@@ -160,6 +160,8 @@ def _parse_atom_basis(spec: str) -> AtomBasis:
             theta, phi = (float(x) for x in spec.split(":", 1)[1].split(","))
         except ValueError as err:
             raise UsageError(f"bad bloch angles in {spec!r}; use bloch:theta,phi in degrees") from err
+        if not (math.isfinite(theta) and math.isfinite(phi)):
+            raise UsageError(f"bloch angles in {spec!r} must be finite")
         return AtomBasis.bloch(math.radians(theta), math.radians(phi))
     raise UsageError(f"unknown atom basis {spec!r} (expected z, y, or bloch:theta,phi)")
 

@@ -412,6 +412,15 @@ def test_cli_rejects_seeds_outside_64_bits(seed, capsys):
     assert err.count("\n") == 1 and "seed" in err
 
 
+@pytest.mark.parametrize("basis", ["bloch:inf,0", "bloch:0,-inf", "bloch:nan,0"])
+@pytest.mark.parametrize("mode", [["--exact"], ["--trials", "10"]])
+def test_cli_rejects_non_finite_bloch_angles(basis, mode, capsys):
+    code = cli_main(["run", "qle", "--atom-basis", basis, *mode])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and "bloch" in err
+
+
 def test_cli_accepts_largest_seed(capsys):
     code = cli_main(["run", "qle", "--trials", "10", "--seed", str(2**64 - 1)])
     assert code == 0
