@@ -1,23 +1,35 @@
 """Sparse bra/ket linear algebra over labeled tensor-product bases.
 
-States are sparse maps from basis labels to complex amplitudes.  A label
-assigns one symbol to every declared subsystem, in declaration order, so a
-photon-and-spin space stores the component on path ``v`` with spin ``+`` under
-the key ``("v", "+")``.  Offer waves live in :class:`Ket`; confirmation waves
-live in :class:`Bra`, whose stored coefficients follow the dual (conjugated)
+A label assigns one symbol to every declared subsystem, in declaration order,
+so a photon-and-spin space names the component on path ``v`` with spin ``+``
+``("v", "+")``.  Offer waves live in :class:`Ket`; confirmation waves live in
+:class:`Bra`, whose stored coefficients follow the dual (conjugated)
 convention, so ``inner(dual(k), k)`` is the squared norm of ``k``.
 
-Amplitudes are plain Python complex numbers.  Every amplitude that occurs in
-the supported experiments is a product of ``{±1, ±i}`` and powers of
-``1/sqrt(2)``, which floating point carries to machine precision at these
-circuit depths; equality checks are therefore tolerance-based (``TOL``) and
-terms whose modulus falls below ``PRUNE`` are dropped so that exact
-destructive interference leaves a literally empty component.
+States are coded: an int64 array of label codes (the label's mixed-radix
+number, one digit per subsystem, the first most significant) and the
+amplitudes' real and imaginary float64 parts, in the order the terms arose.
+Maps run on the arrays; ``terms`` is a label -> complex dict built on demand.
+Only the internal ``_coded`` constructor skips the label checks.
+
+Amplitudes are products of ``{±1, ±i}``, powers of ``1/sqrt(2)`` and emitted
+amplitudes; equality checks are tolerance-based (``TOL``) and terms below
+``PRUNE`` in modulus are dropped, so exact destructive interference leaves a
+literally empty component.  Results are bit-identical to Python complex
+arithmetic on any CPU: products are split float64 (``ar*br - ai*bi``,
+``ar*bi + ai*br``; numpy's complex multiply and matmul may fuse multiply-adds),
+sums start at +0.0 and add in array order, squared moduli are Python's
+``abs(z) ** 2`` (``hypot``, then the C library's ``pow``), and the array order
+is the order a dict would have received the terms in, so ``norm_sq`` adds in
+the same order.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -64,32 +76,60 @@ def subsystem_index(space: Space, subsystem: str) -> int:
 
 
 class _State:
-    """Shared sparse-vector behaviour of kets and bras.
+    """Shared sparse-vector behaviour of kets and bras (see the module notes).
 
     Instances are immutable by convention: no operation mutates its inputs,
     so states are safe to share across concurrent workers.
     """
 
-    __slots__ = ("space", "terms")
+    __slots__ = ("space", "codec", "codes", "re", "im", "_terms")
 
     def __init__(self, space: Space, terms: Mapping[Label, complex] | None = None):
-        space = tuple(space)
-        ids = [s.id for s in space]
-        if len(set(ids)) != len(ids):
-            raise StructuralError(f"duplicate subsystem ids in space: {ids}")
-        object.__setattr__(self, "space", space)
-        clean: dict[Label, complex] = {}
-        if terms:
-            for label, amp in terms.items():
-                label = tuple(label)
-                _check_label(space, label)
-                amp = complex(amp)
-                if abs(amp) >= PRUNE:
-                    clean[label] = amp
-        object.__setattr__(self, "terms", clean)
+        codec = _codec(tuple(space))
+        clean: dict[int, complex] = {}
+        for label, amp in (terms or {}).items():
+            code = codec.encode(tuple(label))
+            amp = complex(amp)
+            if abs(amp) >= PRUNE:
+                clean[code] = amp
+        amps = np.array(list(clean.values()), dtype=complex)
+        self._fill(codec, np.array(list(clean), dtype=np.int64), amps.real, amps.imag)
+
+    def _fill(self, codec: _Codec, codes, re, im) -> None:
+        for name, value in zip(_State.__slots__, (codec.space, codec, codes, re, im, None)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _coded(cls, codec: _Codec, codes: np.ndarray, re: np.ndarray, im: np.ndarray, prune: bool = True):
+        """Trusted constructor: ``codes`` must be distinct codes of ``codec``'s
+        space.  ``prune=False`` skips the PRUNE check for amplitudes taken
+        unchanged from a state."""
+        if prune:
+            keep = np.hypot(re, im) >= PRUNE  # the hypot of Python's abs(z)
+            if np.count_nonzero(keep) < len(keep):
+                codes, re, im = codes[keep], re[keep], im[keep]
+        state = object.__new__(cls)
+        state._fill(codec, codes, re, im)
+        return state
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def amps(self) -> np.ndarray:
+        out = np.empty(len(self.codes), dtype=complex)
+        out.real, out.imag = self.re, self.im
+        return out
+
+    @property
+    def terms(self) -> dict[Label, complex]:
+        """Label -> amplitude, in array order (built on first use)."""
+        if self._terms is None:
+            digits = (self.codec.digit(self.codes, i) for i in range(len(self.space)))
+            symbols = [np.array(s.basis, dtype=object)[d] for s, d in zip(self.space, digits)]
+            labels = zip(*symbols) if symbols else [()] * len(self)
+            object.__setattr__(self, "_terms", dict(zip(labels, self.amps.tolist())))
+        return self._terms
 
     def amplitude(self, label: Label) -> complex:
         return self.terms.get(tuple(label), 0j)
@@ -99,13 +139,13 @@ class _State:
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not len(self.codes)
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.codes)
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not len(self):
             return f"{type(self).__name__}(0)"
         bits = []
         for label, amp in sorted(self.terms.items()):
@@ -124,12 +164,74 @@ class Bra(_State):
     """Sparse confirmation-wave vector (dual-side coefficients)."""
 
 
-def _check_label(space: Space, label: Label) -> None:
-    if len(label) != len(space):
-        raise StructuralError(f"label {label} does not cover the {len(space)}-subsystem space")
-    for sym, spec in zip(label, space):
-        if sym not in spec.basis:
-            raise StructuralError(f"symbol {sym!r} is not in the basis of subsystem {spec.id!r}")
+class _Codec:
+    """The mixed-radix label codes of one space."""
+
+    def __init__(self, space: Space):
+        ids = [s.id for s in space]
+        if len(set(ids)) != len(ids):
+            raise StructuralError(f"duplicate subsystem ids in space: {ids}")
+        self.space, self.radices = space, tuple(len(s.basis) for s in space)
+        self.size = math.prod(self.radices)
+        if self.size > np.iinfo(np.int64).max:
+            raise StructuralError(f"a space of {self.size} labels does not fit 64-bit label codes")
+        self.strides = tuple(math.prod(self.radices[i + 1 :]) for i in range(len(space)))
+        self.digit_of = tuple({sym: d for d, sym in enumerate(s.basis)} for s in space)
+
+    def encode(self, label: Label) -> int:
+        if len(label) != len(self.space):
+            raise StructuralError(f"label {label} does not cover the {len(self.space)}-subsystem space")
+        code = 0
+        for sym, digits, spec, stride in zip(label, self.digit_of, self.space, self.strides):
+            if sym not in digits:
+                raise StructuralError(f"symbol {sym!r} is not in the basis of subsystem {spec.id!r}")
+            code += digits[sym] * stride
+        return code
+
+    def digit(self, codes: np.ndarray, i: int) -> np.ndarray:
+        return codes // self.strides[i] % self.radices[i]
+
+
+# one codec per space; derived codecs are cached on codec objects (which the
+# cache keys keep alive), so hot paths hash no subsystem specs
+@lru_cache(maxsize=256)
+def _codec(space: Space) -> _Codec:
+    return _Codec(space)
+
+
+@lru_cache(maxsize=256)
+def _joint_codec(a: _Codec, b: _Codec) -> _Codec:
+    overlap = {s.id for s in a.space} & {s.id for s in b.space}
+    if overlap:
+        raise StructuralError(f"overlapping subsystem ids: {sorted(overlap)}")
+    return _codec(a.space + b.space)
+
+
+@lru_cache(maxsize=256)
+def _slot_codec(codec: _Codec, i: int, spec: SubsystemSpec) -> _Codec:
+    return _codec(codec.space[:i] + (spec,) + codec.space[i + 1 :])
+
+
+def _mul(ar, ai, br, bi):
+    """Complex product in split float64, rounded as Python's complex multiply."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _merge(cls, codec: _Codec, codes: np.ndarray, re: np.ndarray, im: np.ndarray):
+    """Sum the values of equal codes, from +0.0 in array order; each code
+    stays where it first occurred."""
+    order = np.argsort(codes, kind="stable")
+    new = np.empty(len(codes), dtype=bool)
+    new[:1] = True
+    np.not_equal(codes[order[1:]], codes[order[:-1]], out=new[1:])
+    first = order[new]  # where each distinct code first occurs (the sort is stable)
+    if len(first) == len(codes):
+        return cls._coded(codec, codes, 0.0 + re, 0.0 + im)
+    rank = np.argsort(first)
+    slot = np.empty(len(codes), dtype=np.int64)
+    slot[order] = np.argsort(rank)[np.cumsum(new) - 1]
+    n = len(first)
+    return cls._coded(codec, codes[first[rank]], np.bincount(slot, re, n), np.bincount(slot, im, n))
 
 
 def _fmt_complex(z: complex) -> str:
@@ -141,7 +243,7 @@ def _fmt_complex(z: complex) -> str:
 
 
 def _require_same_space(a: _State, b: _State) -> None:
-    if a.space != b.space:
+    if a.codec is not b.codec and a.space != b.space:
         raise StructuralError("operands are defined over different subsystem spaces")
 
 
@@ -155,14 +257,17 @@ def tensor(a, b):
     """Tensor product of two states over disjoint subsystem sets."""
     if type(a) is not type(b):
         raise StructuralError("cannot tensor a ket with a bra")
-    overlap = {s.id for s in a.space} & {s.id for s in b.space}
-    if overlap:
-        raise StructuralError(f"overlapping subsystem ids: {sorted(overlap)}")
-    terms: dict[Label, complex] = {}
-    for la, va in a.terms.items():
-        for lb, vb in b.terms.items():
-            terms[la + lb] = va * vb
-    return type(a)(a.space + b.space, terms)
+    return _tensor(a, b)
+
+
+def _tensor(first, *rest):
+    """Tensor product of several states of one type, pruned once at the end."""
+    codec, codes, re, im = first.codec, first.codes, first.re, first.im
+    for b in rest:
+        codec = _joint_codec(codec, b.codec)
+        codes = (codes[:, None] * b.codec.size + b.codes).ravel()  # earlier factors outermost
+        re, im = (x.ravel() for x in _mul(re[:, None], im[:, None], b.re, b.im))
+    return type(first)._coded(codec, codes, re, im)
 
 
 def add(a, b):
@@ -170,24 +275,28 @@ def add(a, b):
     if type(a) is not type(b):
         raise StructuralError("cannot add a ket and a bra")
     _require_same_space(a, b)
-    terms = dict(a.terms)
-    for label, amp in b.terms.items():
-        terms[label] = terms.get(label, 0j) + amp
-    return type(a)(a.space, terms)
+    cat = np.concatenate
+    return _merge(type(a), a.codec, cat([a.codes, b.codes]), cat([a.re, b.re]), cat([a.im, b.im]))
 
 
 def scale(c: complex, a):
-    return type(a)(a.space, {label: c * amp for label, amp in a.terms.items()})
+    c = complex(c)
+    return type(a)._coded(a.codec, a.codes, *_mul(c.real, c.imag, a.re, a.im))
 
 
 def norm_sq(a) -> float:
-    return float(sum(abs(amp) ** 2 for amp in a.terms.values()))
+    return float(sum(_squared_moduli(a.re, a.im)))
+
+
+def _squared_moduli(re: np.ndarray, im: np.ndarray) -> list[float]:
+    """Python's ``abs(z) ** 2`` per amplitude, bit for bit."""
+    return list(map(math.pow, np.hypot(re, im).tolist(), itertools.repeat(2.0)))
 
 
 def dual(a):
     """Conjugate transpose: offer wave <-> confirmation wave."""
     cls = Bra if isinstance(a, Ket) else Ket
-    return cls(a.space, {label: amp.conjugate() for label, amp in a.terms.items()})
+    return cls._coded(a.codec, a.codes, a.re, -a.im, prune=False)
 
 
 def inner(bra: Bra, ket: Ket) -> complex:
@@ -200,9 +309,38 @@ def inner(bra: Bra, ket: Ket) -> complex:
     if not isinstance(bra, Bra) or not isinstance(ket, Ket):
         raise StructuralError("inner expects (Bra, Ket)")
     _require_same_space(bra, ket)
-    if len(bra.terms) > len(ket.terms):
-        bra, ket = ket, bra  # iterate the smaller one
-    return sum(amp * ket.terms.get(label, 0j) for label, amp in bra.terms.items())
+    if len(bra) > len(ket):
+        bra, ket = ket, bra  # walk the smaller one
+    if not len(bra):
+        return 0j
+    order = np.argsort(ket.codes)
+    at = order[np.minimum(np.searchsorted(ket.codes, bra.codes, sorter=order), len(order) - 1)]
+    hit = ket.codes[at] == bra.codes
+    return _sum(*_mul(bra.re[hit], bra.im[hit], ket.re[at[hit]], ket.im[at[hit]]))
+
+
+def _contract(state: _State, factors) -> complex:
+    """``inner`` of ``state`` with the tensor product of ``factors`` (which
+    split its subsystems), without forming the product: each term looks its
+    factors up on their own digits, so the cost grows with ``state`` alone.
+    Per term the factor values multiply in order, then the term's amplitude."""
+    if sorted(s.id for f in factors for s in f.space) != sorted(s.id for s in state.space):
+        raise StructuralError("factors do not cover the state's subsystems once each")
+    value = None
+    for f in factors:
+        slots = [subsystem_index(state.space, s.id) for s in f.space]
+        if tuple(state.space[i] for i in slots) != f.space:
+            raise StructuralError("a factor's subsystems differ from the state's")
+        table = np.zeros((2, f.codec.size))
+        table[:, f.codes] = f.re, f.im
+        re, im = table[:, sum(state.codec.digit(state.codes, i) * s for i, s in zip(slots, f.codec.strides))]
+        value = (re, im) if value is None else _mul(*value, re, im)
+    return _sum(*_mul(*value, state.re, state.im))
+
+
+def _sum(re: np.ndarray, im: np.ndarray) -> complex:
+    """Sum of the complex values ``re + i im``, added in array order."""
+    return complex(sum(re.tolist()), sum(im.tolist()))
 
 
 def project(a, subsystem: str, symbol: str):
@@ -213,7 +351,8 @@ def project(a, subsystem: str, symbol: str):
     i = subsystem_index(a.space, subsystem)
     if symbol not in a.space[i].basis:
         raise StructuralError(f"symbol {symbol!r} is not in the basis of {subsystem!r}")
-    return type(a)(a.space, {l: v for l, v in a.terms.items() if l[i] == symbol})
+    keep = a.codec.digit(a.codes, i) == a.space[i].basis.index(symbol)
+    return type(a)._coded(a.codec, a.codes[keep], a.re[keep], a.im[keep], prune=False)
 
 
 def rebase(a, subsystem: str, matrix, new_symbols: tuple[str, str]):
@@ -222,7 +361,8 @@ def rebase(a, subsystem: str, matrix, new_symbols: tuple[str, str]):
     ``matrix`` rows give the new basis states in terms of the old ones:
     ``|new_j> = sum_k matrix[j, k] |old_k>``.  Ket amplitudes pick up the
     conjugated rows, bra coefficients the rows themselves, so norms are
-    preserved for any unitary matrix.
+    preserved for any unitary matrix.  The result lists its terms in code
+    order.
     """
     i = subsystem_index(a.space, subsystem)
     spec = a.space[i]
@@ -231,34 +371,75 @@ def rebase(a, subsystem: str, matrix, new_symbols: tuple[str, str]):
     m = np.asarray(matrix, dtype=complex)
     if m.shape != (2, 2):
         raise ValidationError("basis-change matrix must be 2x2")
-    if not np.allclose(m @ m.conj().T, np.eye(2), atol=TOL, rtol=0.0):
+    if not np.abs(m @ m.conj().T - np.eye(2)).max() <= TOL:  # a NaN fails too
         raise ValidationError("basis-change matrix is not unitary within 1e-12")
     new_symbols = tuple(new_symbols)
     if len(new_symbols) != 2:
         raise ValidationError("exactly two new basis symbols required")
-    coeff = m.conj() if isinstance(a, Ket) else m
-    mapping = {
-        old: [(new, coeff[j, k]) for j, new in enumerate(new_symbols) if abs(coeff[j, k]) >= PRUNE]
-        for k, old in enumerate(spec.basis)
-    }
-    return _apply_symbol_map(a, i, mapping, SubsystemSpec(spec.id, spec.kind, new_symbols))
+    coeff = (m.conj() if isinstance(a, Ket) else m).tolist()
+    coeff = np.array([[c if abs(c) >= PRUNE else 0j for c in row] for row in coeff])
+    # in code order, pair each term with its partner on the other digit (a zero where absent)
+    stride, codes, re, im = a.codec.strides[i], a.codes, a.re, a.im
+    while True:
+        order = np.argsort(codes, kind="stable")  # linear on codes already in order
+        codes, re, im = codes[order], re[order], im[order]
+        digit = codes // stride % 2
+        partner = codes + stride * (1 - 2 * digit)
+        at = np.minimum(np.searchsorted(codes, partner), len(codes) - 1)
+        absent = codes[at] != partner
+        if not absent.any():
+            break
+        zeros = np.zeros(np.count_nonzero(absent))
+        codes, re, im = (np.concatenate(pair) for pair in ((codes, partner[absent]), (re, zeros), (im, zeros)))
+    # new amplitude j of a pair: coeff[j, 0] old_0 + coeff[j, 1] old_1, from +0.0
+    first, c0, c1 = digit == 0, coeff[digit, 0], coeff[digit, 1]
+    re0, im0 = _mul(c0.real, c0.imag, np.where(first, re, re[at]), np.where(first, im, im[at]))
+    re1, im1 = _mul(c1.real, c1.imag, np.where(first, re[at], re), np.where(first, im[at], im))
+    codec = _slot_codec(a.codec, i, SubsystemSpec(spec.id, spec.kind, new_symbols))
+    return type(a)._coded(codec, codes, 0.0 + re0 + re1, 0.0 + im0 + im1)
 
 
 def _apply_symbol_map(state, i: int, mapping, spec: SubsystemSpec | None = None):
     """Linear map on slot ``i``: each symbol in ``mapping`` becomes its
     ``(new_symbol, factor)`` branches, summed; other symbols pass unchanged.
-    ``spec`` replaces the slot's subsystem when the map changes its basis."""
-    space = state.space if spec is None else state.space[:i] + (spec,) + state.space[i + 1 :]
-    terms: dict[Label, complex] = {}
-    for label, amp in state.terms.items():
-        branches = mapping.get(label[i])
-        if branches is None:
-            terms[label] = terms.get(label, 0j) + amp
-            continue
-        for sym, factor in branches:
-            new_label = label[:i] + (sym,) + label[i + 1 :]
-            terms[new_label] = terms.get(new_label, 0j) + factor * amp
-    return type(state)(space, terms)
+    ``spec`` replaces the slot's subsystem when the map changes its basis.
+
+    A gather (each term once per branch, its digit replaced, its amplitude
+    multiplied) and a segment sum, which only terms on clashing symbols need."""
+    codec = state.codec if spec is None else _slot_codec(state.codec, i, spec)
+    key = tuple((sym, tuple(branches)) for sym, branches in mapping.items())
+    shift, f_re, f_im, valid, clash = _map_table(state.space[i].basis, codec.space[i].basis, codec.strides[i], key)
+    d = state.codec.digit(state.codes, i)
+    rows, k = valid[d].nonzero()
+    dk = d[rows], k
+    re, im = _mul(f_re[dk], f_im[dk], state.re[rows], state.im[rows])
+    codes = state.codes[rows] + shift[dk]
+    if np.count_nonzero(clash[d]):
+        return _merge(type(state), codec, codes, re, im)
+    return type(state)._coded(codec, codes, 0.0 + re, 0.0 + im)
+
+
+@lru_cache(maxsize=1024)
+def _map_table(old: tuple[str, ...], new: tuple[str, ...], stride: int, mapping: tuple) -> tuple[np.ndarray, ...]:
+    """Per old digit and branch: the code shift, the factor's parts and whether
+    the branch exists (a symbol not in ``mapping`` passes unchanged, factor 1);
+    and per old digit whether its terms may land on another digit's: a mapped
+    symbol sharing a branch target, or a passed symbol that is a target."""
+    rows = [dict(mapping).get(sym, ((sym, 1.0),)) for sym in old]
+    shape = (len(old), max(len(r) for r in rows))
+    to, factor, valid = (np.zeros(shape, dtype=t) for t in (np.int64, complex, bool))
+    for d, row in enumerate(rows):
+        for k, (sym, f) in enumerate(row):
+            if sym not in new:
+                raise StructuralError(f"symbol {sym!r} is not in the new basis {new}")
+            to[d, k], factor[d, k], valid[d, k] = new.index(sym), f, True
+    mapped = np.array([sym in dict(mapping) for sym in old])
+    hits = np.bincount(to[valid & mapped[:, None]], minlength=len(new))  # branches into each new digit
+    clash = np.where(mapped, np.where(valid, hits[to] > 1, False).any(axis=1), hits[to[:, 0]] > 0)
+    tables = ((to - np.arange(len(old))[:, None]) * stride, factor.real.copy(), factor.imag.copy(), valid, clash)
+    for table in tables:
+        table.setflags(write=False)  # cached and shared by every caller
+    return tables
 
 
 def approx_equal(a, b, tol: float = TOL) -> bool:

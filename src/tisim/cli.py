@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 usage error, 3 failed verification.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .errors import SimulatorError, UsageError
@@ -30,6 +31,7 @@ _DESCRIPTIONS = {
 }
 
 
+@functools.lru_cache(maxsize=None)  # built once per process: parsing does not change it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tisim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

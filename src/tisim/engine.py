@@ -16,9 +16,12 @@ absorption inside a box is always a terminal outcome.  The engine then
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -29,6 +32,7 @@ from .amplitudes import (
     Ket,
     Space,
     SubsystemSpec,
+    _squared_moduli,
     dual,
     rebase,
     subsystem_index,
@@ -124,6 +128,11 @@ class Outcome:
     atoms: tuple[tuple[str, str], ...] = ()
     excited: str | None = None
 
+    def __init__(self, photon: str, atoms: tuple[tuple[str, str], ...] = (), excited: str | None = None):
+        # enumerations build outcomes by the ten thousand: fill the fields
+        # directly, not through the frozen dataclass's per-field setattr
+        self.__dict__.update(photon=photon, atoms=atoms, excited=excited)
+
     @property
     def label(self) -> str:
         # semicolon-joined so labels stay comma-free for the CSV report
@@ -143,6 +152,9 @@ class TransactionCandidate:
     outcome: Outcome
     weight: float
     amplitude: complex
+
+    def __init__(self, outcome: Outcome, weight: float, amplitude: complex):
+        self.__dict__.update(outcome=outcome, weight=weight, amplitude=amplitude)  # as in Outcome
 
 
 @dataclass(frozen=True)
@@ -180,7 +192,10 @@ class OutcomeDistribution:
 
 
 def _canonical(candidates: Iterable[TransactionCandidate]) -> tuple[TransactionCandidate, ...]:
-    return tuple(sorted(candidates, key=lambda c: c.outcome.sort_key()))
+    """Stage candidate lists merged in canonical order: each list is canonical
+    and no photon name spans two stages, so sorting (stably) on the photon name
+    gives the order of the full ``Outcome.sort_key``."""
+    return tuple(sorted(candidates, key=lambda c: c.outcome.photon))
 
 
 def _rebase_atoms(
@@ -216,22 +231,64 @@ def _check_context(network: Network, context: MeasurementContext) -> None:
 
 def _candidates_from_ket(
     state: Ket, network: Network, excited_box: AtomBox | None = None
-) -> list[TransactionCandidate]:
-    photon_i = subsystem_index(state.space, network.photon.id)
-    atom_ids = [a.id for a in network.atoms()]
-    atom_is = [subsystem_index(state.space, a) for a in atom_ids]
+) -> tuple[TransactionCandidate, ...]:
+    """The ket's terms as candidates, in canonical order: by photon name, then
+    atom symbols, then the whole label, compared as strings.  The sort runs on
+    each digit's rank among its subsystem's symbols."""
     terminals = network.terminal_symbols()
-    out = []
-    for label, amp in state.items():
-        photon = terminals.get(label[photon_i], label[photon_i])
-        atoms = tuple((aid, label[i]) for aid, i in zip(atom_ids, atom_is))
-        outcome = Outcome(
-            photon=photon,
-            atoms=atoms,
-            excited=excited_box.atom if excited_box is not None else None,
-        )
-        out.append(TransactionCandidate(outcome, abs(amp) ** 2, amp))
-    return out
+    photon_i = subsystem_index(state.space, network.photon.id)
+    names = tuple(terminals.get(sym, sym) for sym in state.space[photon_i].basis)
+    slots = (photon_i, *(subsystem_index(state.space, a.id) for a in network.atoms()))
+    codec = state.codec
+    symbols, ranks = _outcome_tables(codec, slots, names)
+    digits = [codec.digit(state.codes, i) for i in slots]
+    by_outcome = 0
+    for i, r, d in zip(slots, ranks, digits):  # mixed radix over the ranks: fits, as the codes do
+        by_outcome = by_outcome * codec.radices[i] + r[d]
+    order = np.argsort(by_outcome, kind="stable")
+    if np.count_nonzero(np.diff(by_outcome[order])) < len(order) - 1:  # ties: break them on the whole label
+        label = sum(_ranks(s.basis)[codec.digit(state.codes, i)] * codec.strides[i] for i, s in enumerate(state.space))
+        order = np.lexsort((label, by_outcome))
+    weights = _squared_moduli(state.re[order], state.im[order])
+    excited = itertools.repeat(excited_box.atom if excited_box is not None else None)
+    with _collector_paused():
+        photons, *pairs = (table[d[order]].tolist() for table, d in zip(symbols, digits))
+        atoms = list(zip(*pairs)) if pairs else [()] * len(order)
+        outcomes = map(Outcome, photons, atoms, excited)
+        return tuple(map(TransactionCandidate, outcomes, weights, state.amps[order].tolist()))
+
+
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector while a bulk of acyclic objects is
+    built: collections triggered by the allocations would only re-scan them."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@lru_cache(maxsize=256)
+def _outcome_tables(codec, slots: tuple[int, ...], names: tuple[str, ...]):
+    """Per outcome slot (photon, then atoms): what each digit reads as in an
+    ``Outcome`` (the photon's name, an atom's ``(id, symbol)`` pair) and its rank."""
+    values = [names] + [[(codec.space[i].id, sym) for sym in codec.space[i].basis] for i in slots[1:]]
+    symbols = [np.empty(len(items), dtype=object) for items in values]
+    for table, items in zip(symbols, values):
+        for k, item in enumerate(items):
+            table[k] = item  # one by one, so numpy keeps the pairs as tuples
+    ranks = [_ranks(names)] + [_ranks(codec.space[i].basis) for i in slots[1:]]
+    for table in symbols + ranks:
+        table.setflags(write=False)  # cached and shared by every caller
+    return symbols, ranks
+
+
+def _ranks(strings: Sequence[str]) -> np.ndarray:
+    """Each string's position among the distinct strings in sorted order."""
+    return np.unique(np.array(strings), return_inverse=True)[1]
 
 
 def _hierarchy_stages(network: Network, context: MeasurementContext):
@@ -244,16 +301,24 @@ def _hierarchy_stages(network: Network, context: MeasurementContext):
     passes every box.  Candidates are in canonical order and carry their
     unconditioned Born weights.
     """
+    absorbed, final = _stage_kets(network, context)
+    return [(p_here, _stage_candidates(network, context, box, ket)) for p_here, box, ket in absorbed], final
+
+
+def _stage_kets(network: Network, context: MeasurementContext):
+    """The stage table before rebasing: ``(p_here, box, absorbed ket)`` per box,
+    then the final candidates (built first, so a context the atoms cannot
+    take fails here)."""
     _check_context(network, context)
     trace = forward_propagate(network)
+    final = _stage_candidates(network, context, None, trace.continuing)
     boxes = {b.id: b for b in network.boxes()}
-    stages = []
-    for (box_id, taken), p_here in zip(trace.absorbed, trace.box_fractions):
-        box = boxes[box_id]
-        rebased = _rebase_atoms(taken, network, context, skip=box.atom)
-        stages.append((p_here, _canonical(_candidates_from_ket(rebased, network, excited_box=box))))
-    final = _canonical(_candidates_from_ket(_rebase_atoms(trace.continuing, network, context), network))
-    return stages, final
+    return [(p, boxes[box_id], ket) for (box_id, ket), p in zip(trace.absorbed, trace.box_fractions)], final
+
+
+def _stage_candidates(network: Network, context: MeasurementContext, box: AtomBox | None, ket: Ket):
+    rebased = _rebase_atoms(ket, network, context, skip=box.atom if box is not None else None)
+    return _candidates_from_ket(rebased, network, excited_box=box)
 
 
 def _flat(network: Network, context: MeasurementContext, stages, final) -> OutcomeDistribution:
@@ -288,13 +353,13 @@ def hierarchical_distribution(network: Network, context: MeasurementContext) -> 
         if p_here <= 0.0:
             continue
         mass = sum(c.weight for c in inner_cands)
-        for cand in inner_cands:
-            candidates.append(replace(cand, weight=survival * p_here * (cand.weight / mass)))
+        for c in inner_cands:
+            candidates.append(TransactionCandidate(c.outcome, survival * p_here * (c.weight / mass), c.amplitude))
         survival *= 1.0 - p_here
     final_mass = sum(c.weight for c in final)
     if final_mass > 0.0:
-        for cand in final:
-            candidates.append(replace(cand, weight=survival * (cand.weight / final_mass)))
+        for c in final:
+            candidates.append(TransactionCandidate(c.outcome, survival * (c.weight / final_mass), c.amplitude))
     return OutcomeDistribution(
         candidates=_canonical(candidates),
         provenance="hierarchical",
@@ -413,13 +478,14 @@ def resolve_hierarchical(
     the same stream the flat resolver uses, so absorber-free networks resolve
     identically to ``resolve_flat`` trial by trial.
     """
-    stages, final = _hierarchy_stages(network, context)
-    for k, (p_here, inner_cands) in enumerate(stages):
+    absorbed, final = _stage_kets(network, context)
+    for k, (p_here, box, ket) in enumerate(absorbed):
         if p_here <= 0.0:
             continue
         u = rng.uniform(seed, 1 + k, trial)
         if u < p_here:
-            # reuse the conditional remainder of u for the within-component pick
+            # only the box that fires needs its candidates; the conditional remainder of u picks one
+            inner_cands = _stage_candidates(network, context, box, ket)
             return inner_cands[int(_pick(inner_cands, u / p_here))].outcome
     if not final:
         raise ContractError("no surviving outcomes to resolve")

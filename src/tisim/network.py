@@ -27,9 +27,11 @@ import graphlib
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from pathlib import Path
 from typing import Iterable, Mapping
+
+import numpy as np
 
 from .amplitudes import (
     TOL,
@@ -38,11 +40,13 @@ from .amplitudes import (
     Label,
     Space,
     SubsystemSpec,
+    _Codec,
     _apply_symbol_map,
+    _contract,
+    _tensor,
     add,
     approx_equal,
     dual,
-    inner,
     norm_sq,
     subsystem_index,
     tensor,
@@ -433,23 +437,22 @@ def _symbol_table(network: Network) -> tuple[dict[str, list[Element]], ...]:
 
 
 def emitted_state(network: Network) -> Ket:
-    """Tensor product of all emitted states (photon emitters add coherently)."""
-    state = _with_atom_sources(network, reduce(add, [e.state for e in network.photon_emitters()]))
+    """Tensor product of all emitted states (photon emitters add coherently),
+    the non-photon sources in subsystem order."""
+    state = reduce(add, [e.state for e in network.photon_emitters()])
+    for e in _atom_sources(network):
+        state = tensor(state, e.state)
     if state.space != network.subsystems:
         raise StructuralError("emitter coverage does not match the declared subsystem order")
     return state
 
 
-def _with_atom_sources(network: Network, state: Ket) -> Ket:
-    """``state`` tensored with every non-photon source's emission, in subsystem order."""
+def _atom_sources(network: Network) -> list[Emitter]:
     photon_emitters = network.photon_emitters()
-    atom_sources = sorted(
+    return sorted(
         (e for e in network.emitters() if e not in photon_emitters),
         key=lambda e: subsystem_index(network.subsystems, e.state.space[0].id),
     )
-    for e in atom_sources:
-        state = tensor(state, e.state)
-    return state
 
 
 def _transpose_map(mapping) -> dict[str, list[tuple[str, complex]]]:
@@ -460,26 +463,27 @@ def _transpose_map(mapping) -> dict[str, list[tuple[str, complex]]]:
     return out
 
 
-def _box_relabel(network: Network, box: AtomBox):
-    """The box as a label involution: ``(path, blocking, ground) <-> (marker,
-    blocking, excited)`` on the (photon, spin, level) slots; every other label
-    is returned as the same object."""
-    photon_i = network.photon_index
-    atom_i = subsystem_index(network.subsystems, box.atom)
-    level_i = subsystem_index(network.subsystems, box.level)
-    ground, excited = network.subsystems[level_i].basis
-    swap = {
-        (box.path, box.blocking, ground): (box.marker, excited),
-        (box.marker, box.blocking, excited): (box.path, ground),
-    }
+@lru_cache(maxsize=1024)
+def _box_relabel(codec: _Codec, box: AtomBox):
+    """The box as an involution on the label codes of ``codec``'s space:
+    ``(path, blocking, ground) <-> (marker, blocking, excited)`` on the
+    (photon, spin, level) digits.
 
-    def relabel(label: Label) -> Label:
-        hit = swap.get((label[photon_i], label[atom_i], label[level_i]))
-        if hit is None:
-            return label
-        new = list(label)
-        new[photon_i], new[level_i] = hit
-        return tuple(new)
+    Returns ``relabel(codes) -> (new codes, moved mask)``: a mask for each
+    direction plus one shift of the photon and level digits."""
+    space = codec.space
+    photon_i = next(i for i, s in enumerate(space) if s.kind == "photon-path")
+    atom_i, level_i = subsystem_index(space, box.atom), subsystem_index(space, box.level)
+    path, marker = space[photon_i].basis.index(box.path), space[photon_i].basis.index(box.marker)
+    blocking = space[atom_i].basis.index(box.blocking)
+    shift = (marker - path) * codec.strides[photon_i] + codec.strides[level_i]  # ground is level digit 0
+
+    def relabel(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        photon, level = codec.digit(codes, photon_i), codec.digit(codes, level_i)
+        blocked = codec.digit(codes, atom_i) == blocking
+        into = blocked & (photon == path) & (level == 0)
+        out_of = blocked & (photon == marker) & (level == 1)
+        return codes + shift * into - shift * out_of, into | out_of
 
     return relabel
 
@@ -513,12 +517,10 @@ def forward_propagate(network: Network, initial: Ket | None = None) -> Propagati
         elif isinstance(element, AtomBox):
             before = norm_sq(state)
             # no term carries the marker before its box, so a moved label is an absorbed term
-            relabel = _box_relabel(network, element)
-            parts: tuple[dict[Label, complex], dict[Label, complex]] = ({}, {})
-            for label, amp in state.terms.items():
-                moved = relabel(label)
-                parts[moved is not label][moved] = amp
-            state, taken = Ket(state.space, parts[0]), Ket(state.space, parts[1])
+            codes, moved = _box_relabel(state.codec, element)(state.codes)
+            kept = ~moved
+            taken = Ket._coded(state.codec, codes[moved], state.re[moved], state.im[moved], prune=False)
+            state = Ket._coded(state.codec, codes[kept], state.re[kept], state.im[kept], prune=False)
             absorbed.append((element.id, taken))
             fractions.append(norm_sq(taken) / before if before > 0 else 0.0)
         # emitters and detectors do not transform the in-flight state
@@ -572,7 +574,7 @@ def backward_propagate(
     anchor_box = next((b for b in network.boxes() if b.marker == anchor_symbol), None)
 
     # assemble the joint anchor bra in declaration order
-    joint = confirmation
+    factors = [confirmation]
     for spec in network.subsystems[1:]:
         if spec.kind == "atom-spin":
             spin = atom_bras.get(spec.id)
@@ -583,12 +585,13 @@ def backward_propagate(
                     raise ContractError(f"no confirmation bra supplied for atom {spec.id!r}")
             if spin.space != (spec,):
                 raise StructuralError(f"confirmation bra for {spec.id!r} is on the wrong space")
-            joint = tensor(joint, spin)
+            factors.append(spin)
             atom_bras[spec.id] = spin
         elif spec.kind == "atom-level":
             ground, excited = spec.basis
             sym = excited if (anchor_box is not None and anchor_box.level == spec.id) else ground
-            joint = tensor(joint, unit((spec,), (sym,), bra=True))
+            factors.append(unit((spec,), (sym,), bra=True))
+    joint = _tensor(*factors)
     if joint.space != network.subsystems:
         raise StructuralError("anchor does not cover the declared subsystem order")
 
@@ -597,8 +600,8 @@ def backward_propagate(
         if isinstance(element, (BeamSplitter, Mirror)):
             joint = _apply_symbol_map(joint, photon_i, _transpose_map(element.forward_map()))
         elif isinstance(element, AtomBox):
-            relabel = _box_relabel(network, element)  # a bijection: no two terms merge
-            joint = Bra(joint.space, {relabel(label): amp for label, amp in joint.terms.items()})
+            codes, _ = _box_relabel(joint.codec, element)(joint.codes)  # a bijection: no two terms merge
+            joint = Bra._coded(joint.codec, codes, joint.re, joint.im, prune=False)
 
     # per-sector amplitudes at the sources
     sector: dict[str, complex] = {}
@@ -608,15 +611,14 @@ def backward_propagate(
         if e in photon_emitters:
             continue
         spin_spec, *level = e.state.space
-        bra = atom_bras[spin_spec.id]
-        for spec in level:  # the box relabel restores the ground level before the source
-            bra = tensor(bra, unit((spec,), (spec.basis[0],), bra=True))
-        a_k = inner(bra, e.state)
+        ground = tuple(spec.basis[0] for spec in level)  # the box relabel restores it before the source
+        a_k = sum(b * e.state.amplitude((s, *ground)) for (s,), b in atom_bras[spin_spec.id].terms.items())
         sector[e.id] = a_k
         atom_product *= a_k
 
     # the photon sources add coherently: the joint amplitude is the sum of their couplings
-    couplings = [inner(joint, _with_atom_sources(network, e.state)) for e in photon_emitters]
+    atom_states = [e.state for e in _atom_sources(network)]
+    couplings = [_contract(joint, [e.state, *atom_states]) for e in photon_emitters]
     a_total = sum(couplings)
     for e, s_e in zip(photon_emitters, couplings):
         sector[e.id] = s_e / atom_product if abs(atom_product) > 0 else 0j

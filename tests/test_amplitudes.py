@@ -331,3 +331,104 @@ def test_exactness_over_hundred_operations():
             state = t.add(state, t.Ket(space, {k: delta.to_complex()}))
     for k in keys:
         assert abs(state.amplitude(k) - exact[k].to_complex()) < 1e-12
+
+
+# -- coded states against plain Python complex arithmetic ---------------------------
+#
+# The references below are the dict-of-labels algorithms: Python complex
+# products, sums from 0j in insertion order.  The coded states must give the
+# same amplitudes to the last bit (signed zeros included, compared by repr) and,
+# for the maps that feed ordered sums, the same term order.
+
+
+def dict_symbol_map(terms, i, mapping):
+    out = {}
+    for label, amp in terms.items():
+        for sym, factor in mapping.get(label[i], [(label[i], None)]):
+            new = label[:i] + (sym,) + label[i + 1 :]
+            out[new] = out.get(new, 0j) + (amp if factor is None else factor * amp)
+    return {k: v for k, v in out.items() if abs(v) >= 1e-14}
+
+
+def exact_items(terms):
+    return [(label, repr(complex(amp))) for label, amp in terms.items()]
+
+
+def random_ket(rng, space, n):
+    """Amplitudes with zero, negative-zero and general parts, so signed zeros arise."""
+    labels = {tuple(spec.basis[int(rng.integers(len(spec.basis)))] for spec in space) for _ in range(n)}
+    parts = lambda: rng.choice([0.0, -0.0, rng.normal(), rng.normal()])
+    return t.Ket(space, {label: complex(parts(), parts()) for label in labels})
+
+
+def test_symbol_maps_match_dict_reference_in_values_and_order():
+    from tisim.amplitudes import _apply_symbol_map
+
+    rng = np.random.default_rng(11)
+    r, s = 1j / RT2, 1 / RT2
+    maps = [
+        {"s": [("u", r), ("v", s)]},  # one input: no two terms meet
+        {"u": [("c", r), ("d", s)], "v": [("c", s), ("d", r)]},  # two inputs merge
+        {"c": [("u", s), ("v", r)], "d": [("u", r), ("v", s)]},
+        {"v": [("d", complex(np.exp(0.7j)))]},  # a mirror onto an occupied symbol merges too
+    ]
+    for _ in range(50):
+        k = random_ket(rng, (PHOTON, SPIN1, SPIN2), int(rng.integers(1, 30)))
+        for mapping in maps:
+            got = _apply_symbol_map(k, 0, mapping)
+            assert exact_items(got.terms) == exact_items(dict_symbol_map(k.terms, 0, mapping))
+
+
+def test_products_sums_and_norms_match_python_complex_arithmetic():
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        a = random_ket(rng, (PHOTON,), 4)
+        b = random_ket(rng, (SPIN1, SPIN2), 3)
+        c = complex(*rng.normal(size=2))
+        product = {la + lb: va * vb for la, va in a.terms.items() for lb, vb in b.terms.items()}
+        assert exact_items(t.tensor(a, b).terms) == exact_items(product)
+        assert exact_items(t.scale(c, a).terms) == exact_items({l: c * v for l, v in a.terms.items()})
+        assert t.norm_sq(b) == float(sum(abs(v) ** 2 for v in b.terms.values()))
+        other = random_ket(rng, (PHOTON,), 4)
+        total = {label: 0j + amp for label, amp in a.terms.items()}  # sums start at +0.0
+        for label, amp in other.terms.items():
+            total[label] = total.get(label, 0j) + amp
+        assert exact_items(t.add(a, other).terms) == exact_items({l: v for l, v in total.items() if abs(v) >= 1e-14})
+        bra = t.dual(other)
+        assert t.inner(bra, a) == sum(v * a.terms.get(l, 0j) for l, v in bra.terms.items())
+
+
+def test_rebase_matches_dict_reference_values():
+    rng = np.random.default_rng(13)
+    for _ in range(50):
+        k = random_ket(rng, (PHOTON, SPIN1, SPIN2), int(rng.integers(1, 20)))
+        q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        # diagonal and anti-diagonal bases leave each new symbol a single branch
+        for m in (q, np.diag([1.0, -1.0]), np.array([[0.0, 1j], [1.0, 0.0]])):
+            coeff = m.conj()
+            mapping = {
+                old: [(new, coeff[j, c]) for j, new in enumerate(("a", "b")) if abs(coeff[j, c]) >= 1e-14]
+                for c, old in enumerate(SPIN2.basis)
+            }
+            got = t.rebase(k, "atom2", m, ("a", "b"))
+            assert sorted(exact_items(got.terms)) == sorted(exact_items(dict_symbol_map(k.terms, 2, mapping)))
+
+
+def test_contract_equals_inner_with_the_tensor_product():
+    from tisim.amplitudes import _contract
+
+    rng = np.random.default_rng(14)
+    for _ in range(30):
+        bra = t.dual(random_ket(rng, (PHOTON, SPIN1, SPIN2), 12))
+        factors = [random_ket(rng, (PHOTON,), 3), random_ket(rng, (SPIN1,), 2), random_ket(rng, (SPIN2,), 2)]
+        assert abs(_contract(bra, factors) - t.inner(bra, t.tensor(t.tensor(*factors[:2]), factors[2]))) < 1e-15
+
+
+def test_coded_states_keep_the_public_checks():
+    with pytest.raises(StructuralError, match="not in the basis"):
+        t.Ket((PHOTON,), {("x",): 1.0})
+    with pytest.raises(StructuralError, match="does not cover"):
+        t.Ket((PHOTON, SPIN1), {("s",): 1.0})
+    wide = tuple(SubsystemSpec(f"a{i}", "atom-spin", ("+", "-")) for i in range(64))
+    with pytest.raises(StructuralError, match="64-bit"):
+        t.Ket(wide, {})
