@@ -82,10 +82,10 @@ class _State:
     so states are safe to share across concurrent workers.
     """
 
-    __slots__ = ("space", "codec", "codes", "re", "im", "_terms")
+    __slots__ = ("space", "_codec", "_codes", "_re", "_im", "_terms")
 
     def __init__(self, space: Space, terms: Mapping[Label, complex] | None = None):
-        codec = _codec(tuple(space))
+        codec = _codec_for(tuple(space))
         clean: dict[int, complex] = {}
         for label, amp in (terms or {}).items():
             code = codec.encode(tuple(label))
@@ -116,19 +116,19 @@ class _State:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
-    def amps(self) -> np.ndarray:
-        out = np.empty(len(self.codes), dtype=complex)
-        out.real, out.imag = self.re, self.im
+    def _amps(self) -> np.ndarray:
+        out = np.empty(len(self._codes), dtype=complex)
+        out.real, out.imag = self._re, self._im
         return out
 
     @property
     def terms(self) -> dict[Label, complex]:
         """Label -> amplitude, in array order (built on first use)."""
         if self._terms is None:
-            digits = (self.codec.digit(self.codes, i) for i in range(len(self.space)))
+            digits = (self._codec.digit(self._codes, i) for i in range(len(self.space)))
             symbols = [np.array(s.basis, dtype=object)[d] for s, d in zip(self.space, digits)]
             labels = zip(*symbols) if symbols else [()] * len(self)
-            object.__setattr__(self, "_terms", dict(zip(labels, self.amps.tolist())))
+            object.__setattr__(self, "_terms", dict(zip(labels, self._amps.tolist())))
         return self._terms
 
     def amplitude(self, label: Label) -> complex:
@@ -139,10 +139,10 @@ class _State:
 
     @property
     def is_zero(self) -> bool:
-        return not len(self.codes)
+        return not len(self._codes)
 
     def __len__(self) -> int:
-        return len(self.codes)
+        return len(self._codes)
 
     def __repr__(self) -> str:
         if not len(self):
@@ -192,24 +192,19 @@ class _Codec:
         return codes // self.strides[i] % self.radices[i]
 
 
-# one codec per space; derived codecs are cached on codec objects (which the
-# cache keys keep alive), so hot paths hash no subsystem specs
 @lru_cache(maxsize=256)
-def _codec(space: Space) -> _Codec:
+def _codec_for(space: Space) -> _Codec:
     return _Codec(space)
 
 
 @lru_cache(maxsize=256)
 def _joint_codec(a: _Codec, b: _Codec) -> _Codec:
+    """The codec of ``a``'s space then ``b``'s, cached on the codec objects, so
+    building a product of many factors hashes no subsystem specs."""
     overlap = {s.id for s in a.space} & {s.id for s in b.space}
     if overlap:
         raise StructuralError(f"overlapping subsystem ids: {sorted(overlap)}")
-    return _codec(a.space + b.space)
-
-
-@lru_cache(maxsize=256)
-def _slot_codec(codec: _Codec, i: int, spec: SubsystemSpec) -> _Codec:
-    return _codec(codec.space[:i] + (spec,) + codec.space[i + 1 :])
+    return _codec_for(a.space + b.space)
 
 
 def _mul(ar, ai, br, bi):
@@ -243,7 +238,7 @@ def _fmt_complex(z: complex) -> str:
 
 
 def _require_same_space(a: _State, b: _State) -> None:
-    if a.codec is not b.codec and a.space != b.space:
+    if a._codec is not b._codec and a.space != b.space:
         raise StructuralError("operands are defined over different subsystem spaces")
 
 
@@ -262,11 +257,11 @@ def tensor(a, b):
 
 def _tensor(first, *rest):
     """Tensor product of several states of one type, pruned once at the end."""
-    codec, codes, re, im = first.codec, first.codes, first.re, first.im
+    codec, codes, re, im = first._codec, first._codes, first._re, first._im
     for b in rest:
-        codec = _joint_codec(codec, b.codec)
-        codes = (codes[:, None] * b.codec.size + b.codes).ravel()  # earlier factors outermost
-        re, im = (x.ravel() for x in _mul(re[:, None], im[:, None], b.re, b.im))
+        codec = _joint_codec(codec, b._codec)
+        codes = (codes[:, None] * b._codec.size + b._codes).ravel()  # earlier factors outermost
+        re, im = (x.ravel() for x in _mul(re[:, None], im[:, None], b._re, b._im))
     return type(first)._coded(codec, codes, re, im)
 
 
@@ -276,16 +271,16 @@ def add(a, b):
         raise StructuralError("cannot add a ket and a bra")
     _require_same_space(a, b)
     cat = np.concatenate
-    return _merge(type(a), a.codec, cat([a.codes, b.codes]), cat([a.re, b.re]), cat([a.im, b.im]))
+    return _merge(type(a), a._codec, cat([a._codes, b._codes]), cat([a._re, b._re]), cat([a._im, b._im]))
 
 
 def scale(c: complex, a):
     c = complex(c)
-    return type(a)._coded(a.codec, a.codes, *_mul(c.real, c.imag, a.re, a.im))
+    return type(a)._coded(a._codec, a._codes, *_mul(c.real, c.imag, a._re, a._im))
 
 
 def norm_sq(a) -> float:
-    return float(sum(_squared_moduli(a.re, a.im)))
+    return float(sum(_squared_moduli(a._re, a._im)))
 
 
 def _squared_moduli(re: np.ndarray, im: np.ndarray) -> list[float]:
@@ -296,7 +291,7 @@ def _squared_moduli(re: np.ndarray, im: np.ndarray) -> list[float]:
 def dual(a):
     """Conjugate transpose: offer wave <-> confirmation wave."""
     cls = Bra if isinstance(a, Ket) else Ket
-    return cls._coded(a.codec, a.codes, a.re, -a.im, prune=False)
+    return cls._coded(a._codec, a._codes, a._re, -a._im, prune=False)
 
 
 def inner(bra: Bra, ket: Ket) -> complex:
@@ -313,10 +308,10 @@ def inner(bra: Bra, ket: Ket) -> complex:
         bra, ket = ket, bra  # walk the smaller one
     if not len(bra):
         return 0j
-    order = np.argsort(ket.codes)
-    at = order[np.minimum(np.searchsorted(ket.codes, bra.codes, sorter=order), len(order) - 1)]
-    hit = ket.codes[at] == bra.codes
-    return _sum(*_mul(bra.re[hit], bra.im[hit], ket.re[at[hit]], ket.im[at[hit]]))
+    order = np.argsort(ket._codes)
+    at = order[np.minimum(np.searchsorted(ket._codes, bra._codes, sorter=order), len(order) - 1)]
+    hit = ket._codes[at] == bra._codes
+    return _sum(*_mul(bra._re[hit], bra._im[hit], ket._re[at[hit]], ket._im[at[hit]]))
 
 
 def _contract(state: _State, factors) -> complex:
@@ -331,11 +326,11 @@ def _contract(state: _State, factors) -> complex:
         slots = [subsystem_index(state.space, s.id) for s in f.space]
         if tuple(state.space[i] for i in slots) != f.space:
             raise StructuralError("a factor's subsystems differ from the state's")
-        table = np.zeros((2, f.codec.size))
-        table[:, f.codes] = f.re, f.im
-        re, im = table[:, sum(state.codec.digit(state.codes, i) * s for i, s in zip(slots, f.codec.strides))]
+        table = np.zeros((2, f._codec.size))
+        table[:, f._codes] = f._re, f._im
+        re, im = table[:, sum(state._codec.digit(state._codes, i) * s for i, s in zip(slots, f._codec.strides))]
         value = (re, im) if value is None else _mul(*value, re, im)
-    return _sum(*_mul(*value, state.re, state.im))
+    return _sum(*_mul(*value, state._re, state._im))
 
 
 def _sum(re: np.ndarray, im: np.ndarray) -> complex:
@@ -351,8 +346,8 @@ def project(a, subsystem: str, symbol: str):
     i = subsystem_index(a.space, subsystem)
     if symbol not in a.space[i].basis:
         raise StructuralError(f"symbol {symbol!r} is not in the basis of {subsystem!r}")
-    keep = a.codec.digit(a.codes, i) == a.space[i].basis.index(symbol)
-    return type(a)._coded(a.codec, a.codes[keep], a.re[keep], a.im[keep], prune=False)
+    keep = a._codec.digit(a._codes, i) == a.space[i].basis.index(symbol)
+    return type(a)._coded(a._codec, a._codes[keep], a._re[keep], a._im[keep], prune=False)
 
 
 def rebase(a, subsystem: str, matrix, new_symbols: tuple[str, str]):
@@ -379,7 +374,7 @@ def rebase(a, subsystem: str, matrix, new_symbols: tuple[str, str]):
     coeff = (m.conj() if isinstance(a, Ket) else m).tolist()
     coeff = np.array([[c if abs(c) >= PRUNE else 0j for c in row] for row in coeff])
     # in code order, pair each term with its partner on the other digit (a zero where absent)
-    stride, codes, re, im = a.codec.strides[i], a.codes, a.re, a.im
+    stride, codes, re, im = a._codec.strides[i], a._codes, a._re, a._im
     while True:
         order = np.argsort(codes, kind="stable")  # linear on codes already in order
         codes, re, im = codes[order], re[order], im[order]
@@ -395,7 +390,7 @@ def rebase(a, subsystem: str, matrix, new_symbols: tuple[str, str]):
     first, c0, c1 = digit == 0, coeff[digit, 0], coeff[digit, 1]
     re0, im0 = _mul(c0.real, c0.imag, np.where(first, re, re[at]), np.where(first, im, im[at]))
     re1, im1 = _mul(c1.real, c1.imag, np.where(first, re[at], re), np.where(first, im[at], im))
-    codec = _slot_codec(a.codec, i, SubsystemSpec(spec.id, spec.kind, new_symbols))
+    codec = _codec_for(a.space[:i] + (SubsystemSpec(spec.id, spec.kind, new_symbols),) + a.space[i + 1 :])
     return type(a)._coded(codec, codes, 0.0 + re0 + re1, 0.0 + im0 + im1)
 
 
@@ -406,14 +401,14 @@ def _apply_symbol_map(state, i: int, mapping, spec: SubsystemSpec | None = None)
 
     A gather (each term once per branch, its digit replaced, its amplitude
     multiplied) and a segment sum, which only terms on clashing symbols need."""
-    codec = state.codec if spec is None else _slot_codec(state.codec, i, spec)
+    codec = state._codec if spec is None else _codec_for(state.space[:i] + (spec,) + state.space[i + 1 :])
     key = tuple((sym, tuple(branches)) for sym, branches in mapping.items())
     shift, f_re, f_im, valid, clash = _map_table(state.space[i].basis, codec.space[i].basis, codec.strides[i], key)
-    d = state.codec.digit(state.codes, i)
+    d = state._codec.digit(state._codes, i)
     rows, k = valid[d].nonzero()
     dk = d[rows], k
-    re, im = _mul(f_re[dk], f_im[dk], state.re[rows], state.im[rows])
-    codes = state.codes[rows] + shift[dk]
+    re, im = _mul(f_re[dk], f_im[dk], state._re[rows], state._im[rows])
+    codes = state._codes[rows] + shift[dk]
     if np.count_nonzero(clash[d]):
         return _merge(type(state), codec, codes, re, im)
     return type(state)._coded(codec, codes, 0.0 + re, 0.0 + im)

@@ -239,23 +239,23 @@ def _candidates_from_ket(
     photon_i = subsystem_index(state.space, network.photon.id)
     names = tuple(terminals.get(sym, sym) for sym in state.space[photon_i].basis)
     slots = (photon_i, *(subsystem_index(state.space, a.id) for a in network.atoms()))
-    codec = state.codec
+    codec = state._codec
     symbols, ranks = _outcome_tables(codec, slots, names)
-    digits = [codec.digit(state.codes, i) for i in slots]
+    digits = [codec.digit(state._codes, i) for i in slots]
     by_outcome = 0
     for i, r, d in zip(slots, ranks, digits):  # mixed radix over the ranks: fits, as the codes do
         by_outcome = by_outcome * codec.radices[i] + r[d]
     order = np.argsort(by_outcome, kind="stable")
     if np.count_nonzero(np.diff(by_outcome[order])) < len(order) - 1:  # ties: break them on the whole label
-        label = sum(_ranks(s.basis)[codec.digit(state.codes, i)] * codec.strides[i] for i, s in enumerate(state.space))
+        label = sum(_ranks(s.basis)[codec.digit(state._codes, i)] * codec.strides[i] for i, s in enumerate(state.space))
         order = np.lexsort((label, by_outcome))
-    weights = _squared_moduli(state.re[order], state.im[order])
+    weights = _squared_moduli(state._re[order], state._im[order])
     excited = itertools.repeat(excited_box.atom if excited_box is not None else None)
     with _collector_paused():
         photons, *pairs = (table[d[order]].tolist() for table, d in zip(symbols, digits))
         atoms = list(zip(*pairs)) if pairs else [()] * len(order)
         outcomes = map(Outcome, photons, atoms, excited)
-        return tuple(map(TransactionCandidate, outcomes, weights, state.amps[order].tolist()))
+        return tuple(map(TransactionCandidate, outcomes, weights, state._amps[order].tolist()))
 
 
 @contextmanager

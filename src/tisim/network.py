@@ -517,10 +517,10 @@ def forward_propagate(network: Network, initial: Ket | None = None) -> Propagati
         elif isinstance(element, AtomBox):
             before = norm_sq(state)
             # no term carries the marker before its box, so a moved label is an absorbed term
-            codes, moved = _box_relabel(state.codec, element)(state.codes)
+            codes, moved = _box_relabel(state._codec, element)(state._codes)
             kept = ~moved
-            taken = Ket._coded(state.codec, codes[moved], state.re[moved], state.im[moved], prune=False)
-            state = Ket._coded(state.codec, codes[kept], state.re[kept], state.im[kept], prune=False)
+            taken = Ket._coded(state._codec, codes[moved], state._re[moved], state._im[moved], prune=False)
+            state = Ket._coded(state._codec, codes[kept], state._re[kept], state._im[kept], prune=False)
             absorbed.append((element.id, taken))
             fractions.append(norm_sq(taken) / before if before > 0 else 0.0)
         # emitters and detectors do not transform the in-flight state
@@ -600,8 +600,8 @@ def backward_propagate(
         if isinstance(element, (BeamSplitter, Mirror)):
             joint = _apply_symbol_map(joint, photon_i, _transpose_map(element.forward_map()))
         elif isinstance(element, AtomBox):
-            codes, _ = _box_relabel(joint.codec, element)(joint.codes)  # a bijection: no two terms merge
-            joint = Bra._coded(joint.codec, codes, joint.re, joint.im, prune=False)
+            codes, _ = _box_relabel(joint._codec, element)(joint._codes)  # a bijection: no two terms merge
+            joint = Bra._coded(joint._codec, codes, joint._re, joint._im, prune=False)
 
     # per-sector amplitudes at the sources
     sector: dict[str, complex] = {}
