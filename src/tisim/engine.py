@@ -131,7 +131,8 @@ class Outcome:
     def __init__(self, photon: str, atoms: tuple[tuple[str, str], ...] = (), excited: str | None = None):
         # enumerations build outcomes by the ten thousand: fill the fields
         # directly, not through the frozen dataclass's per-field setattr
-        self.__dict__.update(photon=photon, atoms=atoms, excited=excited)
+        fields_ = self.__dict__
+        fields_["photon"], fields_["atoms"], fields_["excited"] = photon, atoms, excited
 
     @property
     def label(self) -> str:
@@ -154,7 +155,8 @@ class TransactionCandidate:
     amplitude: complex
 
     def __init__(self, outcome: Outcome, weight: float, amplitude: complex):
-        self.__dict__.update(outcome=outcome, weight=weight, amplitude=amplitude)  # as in Outcome
+        fields_ = self.__dict__  # as in Outcome
+        fields_["outcome"], fields_["weight"], fields_["amplitude"] = outcome, weight, amplitude
 
 
 @dataclass(frozen=True)
@@ -252,10 +254,28 @@ def _candidates_from_ket(
     weights = _squared_moduli(state._re[order], state._im[order])
     excited = itertools.repeat(excited_box.atom if excited_box is not None else None)
     with _collector_paused():
-        photons, *pairs = (table[d[order]].tolist() for table, d in zip(symbols, digits))
-        atoms = list(zip(*pairs)) if pairs else [()] * len(order)
-        outcomes = map(Outcome, photons, atoms, excited)
-        return tuple(map(TransactionCandidate, outcomes, weights, state._amps[order].tolist()))
+        return tuple(map(
+            TransactionCandidate,
+            map(Outcome, symbols[0][digits[0][order]].tolist(), _atom_readings(codec, slots, symbols, digits, order), excited),
+            weights,
+            state._amps[order].tolist(),
+        ))
+
+
+def _atom_readings(codec, slots, symbols, digits, order) -> list:
+    """Each term's ``Outcome.atoms`` tuple, in ``order``; terms that read the
+    atoms alike share one tuple."""
+    if len(slots) == 1:
+        return [()] * len(order)
+    reading = 0
+    for i, d in zip(slots[1:], digits[1:]):
+        reading = reading * codec.radices[i] + d[order]
+    shared, which = np.unique(reading, return_inverse=True)
+    pairs = []
+    for i, table in zip(reversed(slots[1:]), reversed(symbols[1:])):
+        pairs.append(table[shared % codec.radices[i]])
+        shared = shared // codec.radices[i]
+    return np.fromiter(zip(*reversed(pairs)), dtype=object, count=len(pairs[0]))[which].tolist()
 
 
 @contextmanager
@@ -288,7 +308,8 @@ def _outcome_tables(codec, slots: tuple[int, ...], names: tuple[str, ...]):
 
 def _ranks(strings: Sequence[str]) -> np.ndarray:
     """Each string's position among the distinct strings in sorted order."""
-    return np.unique(np.array(strings), return_inverse=True)[1]
+    position = {s: r for r, s in enumerate(sorted(set(strings)))}
+    return np.array([position[s] for s in strings], dtype=np.int64)
 
 
 def _hierarchy_stages(network: Network, context: MeasurementContext):
