@@ -207,6 +207,12 @@ def _joint_codec(a: _Codec, b: _Codec) -> _Codec:
     return _codec_for(a.space + b.space)
 
 
+@lru_cache(maxsize=256)
+def _slot_codec(codec: _Codec, i: int, spec: SubsystemSpec) -> _Codec:
+    """The codec of ``codec``'s space with slot ``i`` replaced by ``spec``."""
+    return _codec_for(codec.space[:i] + (spec,) + codec.space[i + 1 :])
+
+
 def _mul(ar, ai, br, bi):
     """Complex product in split float64, rounded as Python's complex multiply."""
     return ar * br - ai * bi, ar * bi + ai * br
@@ -390,7 +396,7 @@ def rebase(a, subsystem: str, matrix, new_symbols: tuple[str, str]):
     first, c0, c1 = digit == 0, coeff[digit, 0], coeff[digit, 1]
     re0, im0 = _mul(c0.real, c0.imag, np.where(first, re, re[at]), np.where(first, im, im[at]))
     re1, im1 = _mul(c1.real, c1.imag, np.where(first, re[at], re), np.where(first, im[at], im))
-    codec = _codec_for(a.space[:i] + (SubsystemSpec(spec.id, spec.kind, new_symbols),) + a.space[i + 1 :])
+    codec = _slot_codec(a._codec, i, SubsystemSpec(spec.id, spec.kind, new_symbols))
     return type(a)._coded(codec, codes, 0.0 + re0 + re1, 0.0 + im0 + im1)
 
 
@@ -401,7 +407,7 @@ def _apply_symbol_map(state, i: int, mapping, spec: SubsystemSpec | None = None)
 
     A gather (each term once per branch, its digit replaced, its amplitude
     multiplied) and a segment sum, which only terms on clashing symbols need."""
-    codec = state._codec if spec is None else _codec_for(state.space[:i] + (spec,) + state.space[i + 1 :])
+    codec = state._codec if spec is None else _slot_codec(state._codec, i, spec)
     key = tuple((sym, tuple(branches)) for sym, branches in mapping.items())
     shift, f_re, f_im, valid, clash = _map_table(state.space[i].basis, codec.space[i].basis, codec.strides[i], key)
     d = state._codec.digit(state._codes, i)

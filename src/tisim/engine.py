@@ -19,7 +19,6 @@ from __future__ import annotations
 import gc
 import itertools
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
@@ -253,42 +252,37 @@ def _candidates_from_ket(
         order = np.lexsort((label, by_outcome))
     weights = _squared_moduli(state._re[order], state._im[order])
     excited = itertools.repeat(excited_box.atom if excited_box is not None else None)
-    with _collector_paused():
-        return tuple(map(
-            TransactionCandidate,
-            map(Outcome, symbols[0][digits[0][order]].tolist(), _atom_readings(codec, slots, symbols, digits, order), excited),
-            weights,
-            state._amps[order].tolist(),
-        ))
+    atoms = _atom_readings(codec, slots, symbols, [d[order] for d in digits])
+    paused = gc.isenabled() and len(order) > _SHARE_FROM
+    if paused:  # a bulk of acyclic objects: collections during it would only re-scan them
+        gc.disable()
+    try:
+        outcomes = map(Outcome, symbols[0][digits[0][order]].tolist(), atoms, excited)
+        return tuple(map(TransactionCandidate, outcomes, weights, state._amps[order].tolist()))
+    finally:
+        if paused:
+            gc.enable()
 
 
-def _atom_readings(codec, slots, symbols, digits, order) -> list:
-    """Each term's ``Outcome.atoms`` tuple, in ``order``; terms that read the
-    atoms alike share one tuple."""
+_SHARE_FROM = 512  # terms; below this, building per-term tuples costs less than finding shared ones
+
+
+def _atom_readings(codec, slots, symbols, digits) -> list:
+    """Each term's ``Outcome.atoms`` tuple.  On large states, terms that read
+    the atoms alike share one tuple, which saves building tens of thousands."""
     if len(slots) == 1:
-        return [()] * len(order)
+        return [()] * len(digits[0])
+    if len(digits[0]) <= _SHARE_FROM:
+        return list(zip(*(table[d].tolist() for table, d in zip(symbols[1:], digits[1:]))))
     reading = 0
     for i, d in zip(slots[1:], digits[1:]):
-        reading = reading * codec.radices[i] + d[order]
+        reading = reading * codec.radices[i] + d
     shared, which = np.unique(reading, return_inverse=True)
     pairs = []
     for i, table in zip(reversed(slots[1:]), reversed(symbols[1:])):
         pairs.append(table[shared % codec.radices[i]])
         shared = shared // codec.radices[i]
     return np.fromiter(zip(*reversed(pairs)), dtype=object, count=len(pairs[0]))[which].tolist()
-
-
-@contextmanager
-def _collector_paused():
-    """Pause the cyclic garbage collector while a bulk of acyclic objects is
-    built: collections triggered by the allocations would only re-scan them."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
 
 
 @lru_cache(maxsize=256)
