@@ -510,3 +510,54 @@ def test_sample_hierarchical_needs_a_positive_trial_count(qle):
     for trials in (-5, 0):
         with pytest.raises(UsageError, match="trials must be >= 1"):
             t.sample_hierarchical(qle, t.z_context(qle), trials, seed=1)
+
+
+def reference_candidates(state, network, excited_box=None):
+    """The per-term loop of the dict representation: terms in label order,
+    then a stable sort on ``Outcome.sort_key``."""
+    photon_i = [s.id for s in state.space].index(network.photon.id)
+    atom_is = [[s.id for s in state.space].index(a.id) for a in network.atoms()]
+    terminals = network.terminal_symbols()
+    out = []
+    for label, amp in state.items():
+        atoms = tuple((state.space[i].id, label[i]) for i in atom_is)
+        outcome = Outcome(terminals.get(label[photon_i], label[photon_i]), atoms, excited_box and excited_box.atom)
+        out.append(TransactionCandidate(outcome, abs(amp) ** 2, amp))
+    return sorted(out, key=lambda c: c.outcome.sort_key())
+
+
+def hardy_emitting_excited_levels():
+    """hardy whose atom source also emits the excited level, so outcomes tie on
+    (photon, atoms); the level's symbols ("g", "e") sort against their order."""
+    hardy = t.hardy_network()
+    photon, spin, _ = hardy.subsystems
+    level = t.SubsystemSpec("atom1-level", "atom-level", ("g", "e"))
+    state = t.Ket((spin, level), {("+", "g"): 0.5, ("-", "g"): 0.5, ("+", "e"): 0.5j, ("-", "e"): -0.5})
+    elements = tuple(t.Emitter(e.id, e.rank, state) if e.id == "atom1-source" else e for e in hardy.elements)
+    return dataclasses.replace(hardy, subsystems=(photon, spin, level), elements=elements)
+
+
+def test_candidates_match_the_per_term_reference_on_large_and_tied_states():
+    import sys
+    from pathlib import Path
+
+    from tisim.engine import _candidates_from_ket, _rebase_atoms
+
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    from cascade import cascade
+
+    # cascade(7) has 1,024 continuing terms, past the size where candidates share atom tuples;
+    # in the other network, terms that differ only in a level tie on (photon, atoms)
+    for net in (cascade(7, 0), hardy_emitting_excited_levels()):
+        assert t.validate(net) == []
+        trace = t.forward_propagate(net)
+        kets = [(None, trace.continuing)] + [(net.element(b), k) for b, k in trace.absorbed]
+        for ctx in (t.z_context(net), t.y_context(net)):
+            for box, ket in kets:
+                rebased = _rebase_atoms(ket, net, ctx, skip=box.atom if box is not None else None)
+                got = _candidates_from_ket(rebased, net, box)
+                want = reference_candidates(rebased, net, box)
+                assert [(c.outcome, repr(c.weight), repr(c.amplitude)) for c in got] == [
+                    (c.outcome, repr(c.weight), repr(c.amplitude)) for c in want
+                ]
+    assert len(t.forward_propagate(cascade(7, 0)).continuing) > 512
