@@ -380,18 +380,14 @@ def rebase(a, subsystem: str, matrix, new_symbols: tuple[str, str]):
     coeff = (m.conj() if isinstance(a, Ket) else m).tolist()
     coeff = np.array([[c if abs(c) >= PRUNE else 0j for c in row] for row in coeff])
     # in code order, pair each term with its partner on the other digit (a zero where absent)
-    stride, codes, re, im = a._codec.strides[i], a._codes, a._re, a._im
-    while True:
-        order = np.argsort(codes, kind="stable")  # linear on codes already in order
-        codes, re, im = codes[order], re[order], im[order]
-        digit = codes // stride % 2
-        partner = codes + stride * (1 - 2 * digit)
-        at = np.minimum(np.searchsorted(codes, partner), len(codes) - 1)
-        absent = codes[at] != partner
-        if not absent.any():
-            break
-        zeros = np.zeros(np.count_nonzero(absent))
-        codes, re, im = (np.concatenate(pair) for pair in ((codes, partner[absent]), (re, zeros), (im, zeros)))
+    stride = a._codec.strides[i]
+    missing = np.setdiff1d(a._codes + stride * (1 - 2 * (a._codes // stride % 2)), a._codes, assume_unique=True)
+    zeros = np.zeros(len(missing))
+    codes, re, im = (np.concatenate(p) for p in ((a._codes, missing), (a._re, zeros), (a._im, zeros)))
+    order = np.argsort(codes, kind="stable")
+    codes, re, im = codes[order], re[order], im[order]
+    digit = codes // stride % 2
+    at = np.searchsorted(codes, codes + stride * (1 - 2 * digit))
     # new amplitude j of a pair: coeff[j, 0] old_0 + coeff[j, 1] old_1, from +0.0
     first, c0, c1 = digit == 0, coeff[digit, 0], coeff[digit, 1]
     re0, im0 = _mul(c0.real, c0.imag, np.where(first, re, re[at]), np.where(first, im, im[at]))
@@ -400,17 +396,16 @@ def rebase(a, subsystem: str, matrix, new_symbols: tuple[str, str]):
     return type(a)._coded(codec, codes, 0.0 + re0 + re1, 0.0 + im0 + im1)
 
 
-def _apply_symbol_map(state, i: int, mapping, spec: SubsystemSpec | None = None):
+def _apply_symbol_map(state, i: int, mapping):
     """Linear map on slot ``i``: each symbol in ``mapping`` becomes its
     ``(new_symbol, factor)`` branches, summed; other symbols pass unchanged.
-    ``spec`` replaces the slot's subsystem when the map changes its basis.
 
     A gather (each term once per branch, its digit replaced, its amplitude
     multiplied) and a segment sum, which only terms on clashing symbols need."""
-    codec = state._codec if spec is None else _slot_codec(state._codec, i, spec)
+    codec = state._codec
     key = tuple((sym, tuple(branches)) for sym, branches in mapping.items())
-    shift, f_re, f_im, valid, clash = _map_table(state.space[i].basis, codec.space[i].basis, codec.strides[i], key)
-    d = state._codec.digit(state._codes, i)
+    shift, f_re, f_im, valid, clash = _map_table(state.space[i].basis, codec.strides[i], key)
+    d = codec.digit(state._codes, i)
     rows, k = valid[d].nonzero()
     dk = d[rows], k
     re, im = _mul(f_re[dk], f_im[dk], state._re[rows], state._im[rows])
@@ -421,23 +416,23 @@ def _apply_symbol_map(state, i: int, mapping, spec: SubsystemSpec | None = None)
 
 
 @lru_cache(maxsize=1024)
-def _map_table(old: tuple[str, ...], new: tuple[str, ...], stride: int, mapping: tuple) -> tuple[np.ndarray, ...]:
-    """Per old digit and branch: the code shift, the factor's parts and whether
+def _map_table(basis: tuple[str, ...], stride: int, mapping: tuple) -> tuple[np.ndarray, ...]:
+    """Per digit and branch: the code shift, the factor's parts and whether
     the branch exists (a symbol not in ``mapping`` passes unchanged, factor 1);
-    and per old digit whether its terms may land on another digit's: a mapped
+    and per digit whether its terms may land on another digit's: a mapped
     symbol sharing a branch target, or a passed symbol that is a target."""
-    rows = [dict(mapping).get(sym, ((sym, 1.0),)) for sym in old]
-    shape = (len(old), max(len(r) for r in rows))
+    rows = [dict(mapping).get(sym, ((sym, 1.0),)) for sym in basis]
+    shape = (len(basis), max(len(r) for r in rows))
     to, factor, valid = (np.zeros(shape, dtype=t) for t in (np.int64, complex, bool))
     for d, row in enumerate(rows):
         for k, (sym, f) in enumerate(row):
-            if sym not in new:
-                raise StructuralError(f"symbol {sym!r} is not in the new basis {new}")
-            to[d, k], factor[d, k], valid[d, k] = new.index(sym), f, True
-    mapped = np.array([sym in dict(mapping) for sym in old])
-    hits = np.bincount(to[valid & mapped[:, None]], minlength=len(new))  # branches into each new digit
+            if sym not in basis:
+                raise StructuralError(f"symbol {sym!r} is not in the basis {basis}")
+            to[d, k], factor[d, k], valid[d, k] = basis.index(sym), f, True
+    mapped = np.array([sym in dict(mapping) for sym in basis])
+    hits = np.bincount(to[valid & mapped[:, None]], minlength=len(basis))  # branches into each digit
     clash = np.where(mapped, np.where(valid, hits[to] > 1, False).any(axis=1), hits[to[:, 0]] > 0)
-    tables = ((to - np.arange(len(old))[:, None]) * stride, factor.real.copy(), factor.imag.copy(), valid, clash)
+    tables = ((to - np.arange(len(basis))[:, None]) * stride, factor.real.copy(), factor.imag.copy(), valid, clash)
     for table in tables:
         table.setflags(write=False)  # cached and shared by every caller
     return tables

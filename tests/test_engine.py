@@ -541,7 +541,7 @@ def test_candidates_match_the_per_term_reference_on_large_and_tied_states():
     import sys
     from pathlib import Path
 
-    from tisim.engine import _candidates_from_ket, _rebase_atoms
+    from tisim.engine import _SHARE_FROM, _candidates_from_ket, _rebase_atoms
 
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
     from cascade import cascade
@@ -560,4 +560,4 @@ def test_candidates_match_the_per_term_reference_on_large_and_tied_states():
                 assert [(c.outcome, repr(c.weight), repr(c.amplitude)) for c in got] == [
                     (c.outcome, repr(c.weight), repr(c.amplitude)) for c in want
                 ]
-    assert len(t.forward_propagate(cascade(7, 0)).continuing) > 512
+    assert len(t.forward_propagate(cascade(7, 0)).continuing) > _SHARE_FROM
