@@ -125,8 +125,8 @@ class _State:
     def terms(self) -> dict[Label, complex]:
         """Label -> amplitude, in array order (built on first use)."""
         if self._terms is None:
-            digits = (self._codec.digit(self._codes, i) for i in range(len(self.space)))
-            symbols = [np.array(s.basis, dtype=object)[d] for s, d in zip(self.space, digits)]
+            codec = self._codec
+            symbols = [table[codec.digit(self._codes, i)].tolist() for i, table in enumerate(codec.symbols)]
             labels = zip(*symbols) if symbols else [()] * len(self)
             object.__setattr__(self, "_terms", dict(zip(labels, self._amps.tolist())))
         return self._terms
@@ -177,6 +177,7 @@ class _Codec:
             raise StructuralError(f"a space of {self.size} labels does not fit 64-bit label codes")
         self.strides = tuple(math.prod(self.radices[i + 1 :]) for i in range(len(space)))
         self.digit_of = tuple({sym: d for d, sym in enumerate(s.basis)} for s in space)
+        self.symbols = tuple(np.array(s.basis, dtype=object) for s in space)
 
     def encode(self, label: Label) -> int:
         if len(label) != len(self.space):
@@ -380,18 +381,21 @@ def rebase(a, subsystem: str, matrix, new_symbols: tuple[str, str]):
     coeff = (m.conj() if isinstance(a, Ket) else m).tolist()
     coeff = np.array([[c if abs(c) >= PRUNE else 0j for c in row] for row in coeff])
     # in code order, pair each term with its partner on the other digit (a zero where absent)
-    stride = a._codec.strides[i]
-    missing = np.setdiff1d(a._codes + stride * (1 - 2 * (a._codes // stride % 2)), a._codes, assume_unique=True)
+    stride, order = a._codec.strides[i], np.argsort(a._codes, kind="stable")
+    codes = a._codes[order]
+    partner = codes + stride * (1 - 2 * (codes // stride % 2))
+    missing = partner[codes[np.minimum(np.searchsorted(codes, partner), len(codes) - 1)] != partner]
     zeros = np.zeros(len(missing))
-    codes, re, im = (np.concatenate(p) for p in ((a._codes, missing), (a._re, zeros), (a._im, zeros)))
+    codes, re, im = (np.concatenate(p) for p in ((codes, missing), (a._re[order], zeros), (a._im[order], zeros)))
     order = np.argsort(codes, kind="stable")
     codes, re, im = codes[order], re[order], im[order]
     digit = codes // stride % 2
     at = np.searchsorted(codes, codes + stride * (1 - 2 * digit))
-    # new amplitude j of a pair: coeff[j, 0] old_0 + coeff[j, 1] old_1, from +0.0
-    first, c0, c1 = digit == 0, coeff[digit, 0], coeff[digit, 1]
-    re0, im0 = _mul(c0.real, c0.imag, np.where(first, re, re[at]), np.where(first, im, im[at]))
-    re1, im1 = _mul(c1.real, c1.imag, np.where(first, re[at], re), np.where(first, im[at], im))
+    # new amplitude j: coeff[j, j] times the term's own old amplitude plus
+    # coeff[j, 1 - j] times its partner's, from +0.0 (float addition commutes)
+    own, other = coeff.diagonal()[digit], coeff[:, ::-1].diagonal()[digit]
+    re0, im0 = _mul(own.real, own.imag, re, im)
+    re1, im1 = _mul(other.real, other.imag, re[at], im[at])
     codec = _slot_codec(a._codec, i, SubsystemSpec(spec.id, spec.kind, new_symbols))
     return type(a)._coded(codec, codes, 0.0 + re0 + re1, 0.0 + im0 + im1)
 

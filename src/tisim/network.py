@@ -469,21 +469,21 @@ def _box_relabel(codec: _Codec, box: AtomBox):
     ``(path, blocking, ground) <-> (marker, blocking, excited)`` on the
     (photon, spin, level) digits.
 
-    Returns ``relabel(codes) -> (new codes, moved mask)``: a mask for each
-    direction plus one shift of the photon and level digits."""
+    Returns ``relabel(codes) -> (new codes, moved mask)``: each code's shift
+    of the photon and level digits, looked up on its three digits."""
     space = codec.space
     photon_i = next(i for i, s in enumerate(space) if s.kind == "photon-path")
     atom_i, level_i = subsystem_index(space, box.atom), subsystem_index(space, box.level)
     path, marker = space[photon_i].basis.index(box.path), space[photon_i].basis.index(box.marker)
     blocking = space[atom_i].basis.index(box.blocking)
     shift = (marker - path) * codec.strides[photon_i] + codec.strides[level_i]  # ground is level digit 0
+    step = np.zeros((codec.radices[photon_i], codec.radices[atom_i], 2), dtype=np.int64)
+    step[path, blocking, 0], step[marker, blocking, 1] = shift, -shift
+    step.setflags(write=False)  # cached and shared by every caller
 
     def relabel(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        photon, level = codec.digit(codes, photon_i), codec.digit(codes, level_i)
-        blocked = codec.digit(codes, atom_i) == blocking
-        into = blocked & (photon == path) & (level == 0)
-        out_of = blocked & (photon == marker) & (level == 1)
-        return codes + shift * into - shift * out_of, into | out_of
+        moves = step[codec.digit(codes, photon_i), codec.digit(codes, atom_i), codec.digit(codes, level_i)]
+        return codes + moves, moves != 0
 
     return relabel
 
