@@ -197,6 +197,11 @@ class Network:
         """``validate(self)``, computed once per network: networks are immutable."""
         return tuple(validate(self))
 
+    @cached_property
+    def _emitted(self) -> Ket:
+        """``emitted_state(self)``, built once per network like ``_diagnostics``."""
+        return emitted_state(self)
+
 
 @dataclass(frozen=True)
 class PropagationTrace:
@@ -495,7 +500,7 @@ def forward_propagate(network: Network, initial: Ket | None = None) -> Propagati
     emit; a caller-supplied ket must be supported on emitted photon symbols.
     """
     _require_valid(network)
-    state = emitted_state(network) if initial is None else initial
+    state = network._emitted if initial is None else initial
     photon_i = subsystem_index(state.space, network.photon.id)
     if initial is not None:
         emitted_syms = {label[0] for e in network.photon_emitters() for label, _ in e.state.items()}
