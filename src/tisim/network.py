@@ -482,7 +482,7 @@ def _box_relabel(codec: _Codec, box: AtomBox):
     path, marker = space[photon_i].basis.index(box.path), space[photon_i].basis.index(box.marker)
     blocking = space[atom_i].basis.index(box.blocking)
     shift = (marker - path) * codec.strides[photon_i] + codec.strides[level_i]  # ground is level digit 0
-    step = np.zeros((codec.radices[photon_i], codec.radices[atom_i], 2), dtype=np.int64)
+    step = np.zeros(tuple(codec.radices[i] for i in (photon_i, atom_i, level_i)), dtype=np.int64)
     step[path, blocking, 0], step[marker, blocking, 1] = shift, -shift
     step.setflags(write=False)  # cached and shared by every caller
 
