@@ -255,15 +255,11 @@ def unit(space: Space, label: Label, amplitude: complex = 1.0, *, bra: bool = Fa
     return cls(space, {tuple(label): amplitude})
 
 
-def tensor(a, b):
-    """Tensor product of two states over disjoint subsystem sets."""
-    if type(a) is not type(b):
+def tensor(first, *rest):
+    """Tensor product of states of one type over disjoint subsystem sets,
+    pruned once at the end."""
+    if any(type(b) is not type(first) for b in rest):
         raise StructuralError("cannot tensor a ket with a bra")
-    return _tensor(a, b)
-
-
-def _tensor(first, *rest):
-    """Tensor product of several states of one type, pruned once at the end."""
     codec, codes, re, im = first._codec, first._codes, first._re, first._im
     for b in rest:
         codec = _joint_codec(codec, b._codec)

@@ -43,8 +43,6 @@ LANE_OUTCOME = 0  # final outcome draw; hierarchy stage k draws on lane 1 + k
 CHUNK = 2**20  # trials drawn at a time, so sampling memory does not grow with the trial count
 COMPARE_MAX = 64  # up to this many candidates, counting comparisons beats searchsorted
 
-TOL = 1e-12
-
 
 # -- measurement contexts -----------------------------------------------------
 
@@ -212,13 +210,6 @@ def _context_atom_space(network: Network, context: MeasurementContext) -> Space:
     return tuple(specs)
 
 
-def _check_context(network: Network, context: MeasurementContext) -> None:
-    atom_ids = {a.id for a in network.atoms()}
-    extra = set(context.atom_bases) - atom_ids
-    if extra:
-        raise StructuralError(f"context assigns bases to unknown atoms {sorted(extra)}")
-
-
 def _candidates_from_ket(
     state: Ket, network: Network, excited_box: AtomBox | None = None
 ) -> tuple[TransactionCandidate, ...]:
@@ -292,28 +283,32 @@ def _ranks(strings: Sequence[str]) -> np.ndarray:
 
 
 def _hierarchy_stages(network: Network, context: MeasurementContext):
-    """The stage table every enumeration and resolver works from.
+    """The stage table every enumeration, resolver and sampler works from.
 
     One forward pass, split at the boxes and rebased into the context.
     Returns ``(stages, final)``: per box in rank order, the probability that
     it absorbs a photon reaching it (absorbed mass over the mass entering the
     box) paired with its candidates; then the candidates of the wave that
     passes every box.  Candidates are in canonical order and carry their
-    unconditioned Born weights.
+    unconditioned Born weights.  The network keeps the table of the last
+    context it was asked about, keyed by the atoms' bases.
     """
-    absorbed, final = _stage_kets(network, context)
-    return [(p_here, _stage_candidates(network, context, box, ket)) for p_here, box, ket in absorbed], final
-
-
-def _stage_kets(network: Network, context: MeasurementContext):
-    """The stage table before rebasing: ``(p_here, box, absorbed ket)`` per box,
-    then the final candidates (built first, so a context the atoms cannot
-    take fails here)."""
-    _check_context(network, context)
-    trace = forward_propagate(network)
-    final = _stage_candidates(network, context, None, trace.continuing)
-    boxes = {b.id: b for b in network.boxes()}
-    return [(p, boxes[box_id], ket) for (box_id, ket), p in zip(trace.absorbed, trace.box_fractions)], final
+    atoms = network.atoms()
+    extra = set(context.atom_bases) - {a.id for a in atoms}
+    if extra:
+        raise StructuralError(f"context assigns bases to unknown atoms {sorted(extra)}")
+    key = tuple(context.basis_for(a.id) for a in atoms)
+    table = network._stage_tables.get(key)
+    if table is None:  # built in a local, so a thread racing a replacement still returns its own
+        trace = forward_propagate(network)
+        # the final candidates first, so a context the atoms cannot take fails here
+        final = _stage_candidates(network, context, None, trace.continuing)
+        boxes = {b.id: b for b in network.boxes()}
+        absorbed = zip(trace.box_fractions, trace.absorbed)
+        table = tuple((p, _stage_candidates(network, context, boxes[b], ket)) for p, (b, ket) in absorbed), final
+        network._stage_tables.clear()  # one per network; racing threads may each leave one till the next miss
+        network._stage_tables[key] = table
+    return table
 
 
 def _stage_candidates(network: Network, context: MeasurementContext, box: AtomBox | None, ket: Ket):
@@ -453,11 +448,35 @@ def _tally(
     return counts
 
 
+def _draws(stages, final, seed: int, lo: int, n: int):
+    """The draw loop of every resolver and sampler, over trials ``lo .. lo+n-1``.
+
+    Stage k draws on lane 1 + k for the trials still alive and fires where
+    ``u < p_here``; the survivors draw on lane 0, as the flat resolver does.
+    Yields ``(candidates, uniforms)`` per stage that fires (uniforms rescaled
+    to ``u / p_here``) and then for the survivors.
+    """
+    alive = np.arange(n, dtype=np.int64)
+    for k, (p_here, inner_cands) in enumerate(stages):
+        if p_here <= 0.0 or alive.size == 0:
+            continue
+        u = rng.uniforms(seed, 1 + k, lo, n)[alive]
+        fired = u < p_here
+        alive, u = alive[~fired], u[fired] / p_here  # the stage's full arrays go before the caller counts
+        if u.size:
+            yield inner_cands, u
+    if alive.size:
+        yield final, rng.uniforms(seed, LANE_OUTCOME, lo, n)[alive]
+
+
+def _resolve(stages, final, seed: int, trial: int) -> Outcome:
+    candidates, u = next(_draws(stages, final, seed, trial, 1))  # one trial: one draw
+    return candidates[int(_pick(candidates, u[0]))].outcome
+
+
 def resolve_flat(dist: OutcomeDistribution, seed: int, trial: int) -> Outcome:
     """Sample one outcome; deterministic in (seed, trial index)."""
-    if not dist.candidates:
-        raise ContractError("cannot resolve an empty distribution")
-    return dist.candidates[int(_pick(dist.candidates, rng.uniform(seed, LANE_OUTCOME, trial)))].outcome
+    return _resolve((), dist.candidates, seed, trial)
 
 
 def sample_flat(
@@ -478,18 +497,7 @@ def resolve_hierarchical(
     the same stream the flat resolver uses, so absorber-free networks resolve
     identically to ``resolve_flat`` trial by trial.
     """
-    absorbed, final = _stage_kets(network, context)
-    for k, (p_here, box, ket) in enumerate(absorbed):
-        if p_here <= 0.0:
-            continue
-        u = rng.uniform(seed, 1 + k, trial)
-        if u < p_here:
-            # only the box that fires needs its candidates; the conditional remainder of u picks one
-            inner_cands = _stage_candidates(network, context, box, ket)
-            return inner_cands[int(_pick(inner_cands, u / p_here))].outcome
-    if not final:
-        raise ContractError("no surviving outcomes to resolve")
-    return final[int(_pick(final, rng.uniform(seed, LANE_OUTCOME, trial)))].outcome
+    return _resolve(*_hierarchy_stages(network, context), seed, trial)
 
 
 def sample_hierarchical(
@@ -503,22 +511,9 @@ def sample_hierarchical(
     flat = _flat(network, context, stages, final)
     index_of = {c.outcome: i for i, c in enumerate(flat.candidates)}
     counts = np.zeros(len(flat.candidates), dtype=np.int64)
-
-    def add(cands, u) -> None:
-        np.add.at(counts, [index_of[c.outcome] for c in cands], _count(_cut(cands), u))
-
     for lo, n in _chunks(0, trials):
-        alive = np.arange(n, dtype=np.int64)
-        for k, (p_here, inner_cands) in enumerate(stages):
-            if p_here <= 0.0 or alive.size == 0:
-                continue
-            u = rng.uniforms(seed, 1 + k, lo, n)[alive]
-            fired = u < p_here
-            if fired.any():
-                add(inner_cands, u[fired] / p_here)
-            alive = alive[~fired]
-        if alive.size:
-            add(final, rng.uniforms(seed, LANE_OUTCOME, lo, n)[alive])
+        for cands, u in _draws(stages, final, seed, lo, n):
+            np.add.at(counts, [index_of[c.outcome] for c in cands], _count(_cut(cands), u))
     return replace(
         flat, provenance="hierarchical", seed=seed, trials=trials, counts=tuple(int(c) for c in counts)
     )

@@ -43,7 +43,6 @@ from .amplitudes import (
     _Codec,
     _apply_symbol_map,
     _contract,
-    _tensor,
     add,
     approx_equal,
     dual,
@@ -198,9 +197,10 @@ class Network:
         return tuple(validate(self))
 
     @cached_property
-    def _emitted(self) -> Ket:
-        """``emitted_state(self)``, built once per network like ``_diagnostics``."""
-        return emitted_state(self)
+    def _stage_tables(self) -> dict:
+        """The stage table of the last context asked about, keyed by the atoms'
+        bases (``engine._hierarchy_stages``); it lives as long as the network."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -500,7 +500,7 @@ def forward_propagate(network: Network, initial: Ket | None = None) -> Propagati
     emit; a caller-supplied ket must be supported on emitted photon symbols.
     """
     _require_valid(network)
-    state = network._emitted if initial is None else initial
+    state = emitted_state(network) if initial is None else initial
     photon_i = subsystem_index(state.space, network.photon.id)
     if initial is not None:
         emitted_syms = {label[0] for e in network.photon_emitters() for label, _ in e.state.items()}
@@ -596,7 +596,7 @@ def backward_propagate(
             ground, excited = spec.basis
             sym = excited if (anchor_box is not None and anchor_box.level == spec.id) else ground
             factors.append(unit((spec,), (sym,), bra=True))
-    joint = _tensor(*factors)
+    joint = tensor(*factors)
     if joint.space != network.subsystems:
         raise StructuralError("anchor does not cover the declared subsystem order")
 
@@ -713,6 +713,39 @@ def _ket_to_json(state: Ket | Bra) -> list[dict]:
     return out
 
 
+_REQUIRED = object()
+_KINDS = {
+    "a string": lambda v: isinstance(v, str),
+    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "a number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "a boolean": lambda v: isinstance(v, bool),
+    "an object": lambda v: isinstance(v, Mapping),
+    "a list": lambda v: isinstance(v, list),
+}
+_JSON_NAMES = {dict: "an object", list: "a list", str: "a string", bool: "a boolean", int: "an integer",
+               float: "a number", type(None): "null"}
+
+
+def _typed(where: str, name: str, value, kind: str):
+    """``value`` if it is of the JSON ``kind``; else a one-line ``ValidationError``."""
+    if not _KINDS[kind](value):
+        got = _JSON_NAMES.get(type(value), type(value).__name__)
+        raise ValidationError(f"{where}: field {name} must be {kind}, not {got}")
+    return value
+
+
+def _field(where: str, data: Mapping, key: str, kind: str, default=_REQUIRED):
+    """``data[key]`` of the JSON ``kind``; ``default`` when given and the key is absent."""
+    if default is not _REQUIRED and key not in data:
+        return default
+    return _typed(where, repr(key), data[key], kind)
+
+
+def _items(where: str, data: Mapping, key: str, kind: str) -> list:
+    """The list ``data[key]``, each item of the JSON ``kind``."""
+    return [_typed(where, f"{key!r} item {i}", v, kind) for i, v in enumerate(_field(where, data, key, "a list"))]
+
+
 def _finite(eid: str, re, im) -> complex:
     z = complex(re, im)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
@@ -721,10 +754,12 @@ def _finite(eid: str, re, im) -> complex:
 
 
 def _ket_from_json(eid: str, space: Space, entries: Iterable[Mapping], bra: bool = False) -> Ket | Bra:
+    where = f"element {eid!r}"
     terms: dict[Label, complex] = {}
     for entry in entries:
-        label = tuple(entry["label"][spec.id] for spec in space)
-        terms[label] = _finite(eid, entry["re"], entry.get("im", 0.0))
+        symbols = _field(where, entry, "label", "an object")
+        label = tuple(_field(where, symbols, spec.id, "a string") for spec in space)
+        terms[label] = _finite(eid, _field(where, entry, "re", "a number"), _field(where, entry, "im", "a number", 0.0))
     return (Bra if bra else Ket)(space, terms)
 
 
@@ -794,42 +829,52 @@ def network_from_dict(data: Mapping) -> Network:
 
 
 def _parse_network(data: Mapping) -> Network:
+    """The network a description holds; every field is type-checked as it is read."""
     if data.get("schema", _SCHEMA) != _SCHEMA:
         raise ValidationError(f"unsupported network schema {data.get('schema')!r}")
-    subsystems = tuple(
-        SubsystemSpec(s["id"], s["kind"], tuple(s["basis"])) for s in data["subsystems"]
-    )
+    top = "network description"
+    subsystems = []
+    for i, s in enumerate(_items(top, data, "subsystems", "an object")):
+        sid = _field(f"subsystem #{i}", s, "id", "a string")
+        where = f"subsystem {sid!r}"
+        kind, basis = _field(where, s, "kind", "a string"), _items(where, s, "basis", "a string")
+        subsystems.append(SubsystemSpec(sid, kind, tuple(basis)))
     by_id = {s.id: s for s in subsystems}
     elements: list[Element] = []
-    for item in data["elements"]:
-        variant = item["variant"]
-        params = item.get("params", {})
-        eid, rank = item["id"], int(item["rank"])
+    for i, item in enumerate(_items(top, data, "elements", "an object")):
+        eid = _field(f"element #{i}", item, "id", "a string")
+        where = f"element {eid!r}"
+        variant = _field(where, item, "variant", "a string")
+        params = _field(where, item, "params", "an object", {})
+        rank = _field(where, item, "rank", "an integer")
+        text = lambda key: _field(where, params, key, "a string")
         if variant == "emitter":
-            space = tuple(by_id[sid] for sid in params["subsystems"])
-            state = _ket_from_json(eid, space, params["state"])
+            space = tuple(by_id[sid] for sid in _items(where, params, "subsystems", "a string"))
+            state = _ket_from_json(eid, space, _items(where, params, "state", "an object"))
             # older files carry a confirmation filter; the backward pass uses the dual of the state
-            cw = params.get("filter")
-            if cw is not None and not approx_equal(_ket_from_json(eid, space, cw, bra=True), dual(state)):
-                raise ValidationError(f"emitter {eid!r}: a filter must be the dual of the emitted state")
+            if "filter" in params:
+                cw = _ket_from_json(eid, space, _items(where, params, "filter", "an object"), bra=True)
+                if not approx_equal(cw, dual(state)):
+                    raise ValidationError(f"emitter {eid!r}: a filter must be the dual of the emitted state")
             elements.append(Emitter(eid, rank, state))
         elif variant == "beam-splitter":
-            elements.append(BeamSplitter(eid, rank, tuple(params["inputs"]), tuple(params["outputs"])))
+            inputs, outputs = (tuple(_items(where, params, key, "a string")) for key in ("inputs", "outputs"))
+            elements.append(BeamSplitter(eid, rank, inputs, outputs))
         elif variant == "mirror":
-            phase = params.get("phase", {"re": 1.0, "im": 0.0})
-            phase = _finite(eid, phase["re"], phase["im"])
-            elements.append(Mirror(eid, rank, params["input"], params["output"], phase))
+            phase = _field(where, params, "phase", "an object", {"re": 1.0, "im": 0.0})
+            phase = _finite(eid, *(_field(f"{where} phase", phase, key, "a number") for key in ("re", "im")))
+            elements.append(Mirror(eid, rank, text("input"), text("output"), phase))
         elif variant == "atom-box":
-            elements.append(AtomBox(eid, rank, params["atom"], params["blocking"], params["path"], params["level"]))
+            elements.append(AtomBox(eid, rank, *map(text, ("atom", "blocking", "path", "level"))))
         elif variant == "detector":
-            elements.append(Detector(eid, rank, params["input"]))
+            elements.append(Detector(eid, rank, text("input")))
         else:
             raise ValidationError(f"unknown element variant {variant!r}")
     return Network(
-        name=data.get("name", "unnamed"),
-        subsystems=subsystems,
+        name=_field(top, data, "name", "a string", "unnamed"),
+        subsystems=tuple(subsystems),
         elements=tuple(elements),
-        two_source=bool(data.get("two_source", False)),
+        two_source=_field(top, data, "two_source", "a boolean", False),
     )
 
 

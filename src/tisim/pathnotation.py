@@ -30,14 +30,13 @@ import re
 from dataclasses import dataclass
 from typing import Mapping
 
+from .amplitudes import TOL
 from .errors import PathSyntaxError, ResolutionError, StructuralError
 from .network import BeamSplitter, Detector, Emitter, Mirror, Network, _symbol_table
 
 _MINUS = "-−"
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9]*")
 _DECIMAL = re.compile(r"\d+(?:\.\d+)?")
-
-TOL = 1e-12
 
 
 @dataclass(frozen=True)

@@ -432,3 +432,17 @@ def test_coded_states_keep_the_public_checks():
     wide = tuple(SubsystemSpec(f"a{i}", "atom-spin", ("+", "-")) for i in range(64))
     with pytest.raises(StructuralError, match="64-bit"):
         t.Ket(wide, {})
+
+
+def test_tensor_of_several_states_nests_term_by_term():
+    level = SubsystemSpec("level", "atom-level", ("0", "1"))
+    photon = t.Ket((PHOTON,), {("u",): 0.6, ("v",): 0.8j})
+    atom = spin_ket(SPIN1, 1j / RT2, 1 / RT2)
+    excited = t.Ket((level,), {("0",): 0.28 - 0.96j, ("1",): 1e-3})
+    terms = lambda state: repr(list(state.items()))
+    for a, b, c in ((photon, atom, excited), (excited, photon, atom)):
+        assert terms(t.tensor(a, b, c)) == terms(t.tensor(t.tensor(a, b), c))
+        bras = [t.dual(a), t.dual(b), t.dual(c)]
+        assert terms(t.tensor(*bras)) == terms(t.tensor(t.tensor(*bras[:2]), bras[2]))
+    with pytest.raises(StructuralError):
+        t.tensor(photon, atom, t.dual(excited))

@@ -471,3 +471,12 @@ def test_filter_other_than_the_dual_is_rejected(qle):
     filtered[1]["params"]["filter"][0]["re"] += 1e-9
     with pytest.raises(ValidationError, match="emitter 'L-v': a filter must be the dual"):
         t.network_from_dict(data)
+
+
+def test_every_written_description_loads_back():
+    rng = np.random.default_rng(99)
+    nets = [t.qle_network(), t.hardy_network(), t.ev_bomb_network(True), t.ev_bomb_network(False)]
+    nets += [t.two_laser_variant(t.qle_network())] + [random_network(rng, index) for index in range(40)]
+    for net in nets:
+        data = json.loads(json.dumps(t.network_to_dict(net)))
+        assert t.network_to_dict(t.network_from_dict(data)) == data

@@ -437,3 +437,30 @@ def test_library_seed_errors_are_simulator_errors():
             t.sample_flat(dist, 10, seed)
         with pytest.raises(SimulatorError):
             uniforms(seed, 0, 0, 1)
+
+
+def with_element_field(element_id, field, value) -> dict:
+    data = t.network_to_dict(t.qle_network())
+    item = next(item for item in data["elements"] if item["id"] == element_id)
+    if field == "id":
+        item["id"] = value
+    else:
+        item["params"][field] = value
+    return data
+
+
+@pytest.mark.parametrize(
+    "description, message",
+    [
+        (lambda: with_element_field("S1", "id", 7), "field 'id' must be a string, not an integer"),
+        (lambda: with_element_field("A", "level", {"id": "atom1-level"}), "element 'A': field 'level' must be"),
+        (lambda: with_element_field("S2", "inputs", ["u", {"v": 1}]), "element 'S2': field 'inputs' item 1"),
+    ],
+)
+@pytest.mark.parametrize("command", [["run", "qle", "--exact"], ["path", "|L-S1-B-S2-D>"]])
+def test_cli_rejects_mistyped_description_fields(description, message, command, tmp_path, capsys):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(description()))
+    assert cli_main([*command, "--network", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
