@@ -37,7 +37,7 @@ from .amplitudes import (
     unit,
 )
 from .errors import ContractError, StructuralError, UsageError, ValidationError
-from .network import AtomBox, Network, backward_propagate, forward_propagate
+from .network import AtomBox, Network, backward_propagate
 
 LANE_OUTCOME = 0  # final outcome draw; hierarchy stage k draws on lane 1 + k
 CHUNK = 2**20  # trials drawn at a time, so sampling memory does not grow with the trial count
@@ -285,7 +285,8 @@ def _ranks(strings: Sequence[str]) -> np.ndarray:
 def _hierarchy_stages(network: Network, context: MeasurementContext):
     """The stage table every enumeration, resolver and sampler works from.
 
-    One forward pass, split at the boxes and rebased into the context.
+    The network's one offer wave (``Network._offer_wave``), split at the
+    boxes, rebased into the context.
     Returns ``(stages, final)``: per box in rank order, the probability that
     it absorbs a photon reaching it (absorbed mass over the mass entering the
     box) paired with its candidates; then the candidates of the wave that
@@ -300,7 +301,7 @@ def _hierarchy_stages(network: Network, context: MeasurementContext):
     key = tuple(context.basis_for(a.id) for a in atoms)
     table = network._stage_tables.get(key)
     if table is None:  # built in a local, so a thread racing a replacement still returns its own
-        trace = forward_propagate(network)
+        trace = network._offer_wave
         # the final candidates first, so a context the atoms cannot take fails here
         final = _stage_candidates(network, context, None, trace.continuing)
         boxes = {b.id: b for b in network.boxes()}

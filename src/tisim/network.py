@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -197,6 +197,12 @@ class Network:
         return tuple(validate(self))
 
     @cached_property
+    def _offer_wave(self) -> PropagationTrace:
+        """``forward_propagate(self)``, walked once per network: every context
+        reads the same offer wave and only rebases it at the absorbers."""
+        return forward_propagate(self)
+
+    @cached_property
     def _stage_tables(self) -> dict:
         """The stage table of the last context asked about, keyed by the atoms'
         bases (``engine._hierarchy_stages``); it lives as long as the network."""
@@ -205,8 +211,9 @@ class Network:
 
 @dataclass(frozen=True)
 class PropagationTrace:
-    """Result of a forward pass: the in-flight ket, the absorbed components
-    (one per box, excited level set), and a snapshot after each rank.
+    """Result of the forward pass of the emitted offer wave: the ket that
+    passes every box, and the component each box absorbed (excited level set),
+    in rank order.
 
     ``box_fractions`` gives, per absorbed component, the share of the mass
     entering its box that the box took: the conditional absorption
@@ -214,7 +221,6 @@ class PropagationTrace:
 
     continuing: Ket
     absorbed: tuple[tuple[str, Ket], ...]
-    snapshots: tuple[tuple[int, Ket], ...]
     box_fractions: tuple[float, ...] = ()
 
     def absorbed_total(self) -> float:
@@ -493,30 +499,15 @@ def _box_relabel(codec: _Codec, box: AtomBox):
     return relabel
 
 
-def forward_propagate(network: Network, initial: Ket | None = None) -> PropagationTrace:
-    """Propagate an offer wave source -> detectors in rank order.
-
-    ``initial`` defaults to the tensor product of everything the emitters
-    emit; a caller-supplied ket must be supported on emitted photon symbols.
-    """
+def forward_propagate(network: Network) -> PropagationTrace:
+    """Propagate the emitted offer wave source -> detectors in rank order;
+    the engine reads each network's one walk (``Network._offer_wave``)."""
     _require_valid(network)
-    state = emitted_state(network) if initial is None else initial
-    photon_i = subsystem_index(state.space, network.photon.id)
-    if initial is not None:
-        emitted_syms = {label[0] for e in network.photon_emitters() for label, _ in e.state.items()}
-        for label, _ in state.items():
-            if label[photon_i] not in emitted_syms:
-                raise ContractError(
-                    f"initial ket is supported on non-emitter symbol {label[photon_i]!r}"
-                )
+    state = emitted_state(network)
+    photon_i = network.photon_index
     absorbed: list[tuple[str, Ket]] = []
     fractions: list[float] = []
-    snapshots: list[tuple[int, Ket]] = []
-    current_rank: int | None = None
     for element in network.ordered():
-        if current_rank is not None and element.rank != current_rank:
-            snapshots.append((current_rank, state))
-        current_rank = element.rank
         if isinstance(element, (BeamSplitter, Mirror)):
             state = _apply_symbol_map(state, photon_i, element.forward_map())
         elif isinstance(element, AtomBox):
@@ -529,14 +520,7 @@ def forward_propagate(network: Network, initial: Ket | None = None) -> Propagati
             absorbed.append((element.id, taken))
             fractions.append(norm_sq(taken) / before if before > 0 else 0.0)
         # emitters and detectors do not transform the in-flight state
-    if current_rank is not None:
-        snapshots.append((current_rank, state))
-    return PropagationTrace(
-        continuing=state,
-        absorbed=tuple(absorbed),
-        snapshots=tuple(snapshots),
-        box_fractions=tuple(fractions),
-    )
+    return PropagationTrace(continuing=state, absorbed=tuple(absorbed), box_fractions=tuple(fractions))
 
 
 # -- backward propagation -----------------------------------------------------
@@ -736,7 +720,9 @@ def _typed(where: str, name: str, value, kind: str):
 
 def _field(where: str, data: Mapping, key: str, kind: str, default=_REQUIRED):
     """``data[key]`` of the JSON ``kind``; ``default`` when given and the key is absent."""
-    if default is not _REQUIRED and key not in data:
+    if key not in data:
+        if default is _REQUIRED:
+            raise ValidationError(f"{where}: field {key!r} is missing")
         return default
     return _typed(where, repr(key), data[key], kind)
 
@@ -746,21 +732,34 @@ def _items(where: str, data: Mapping, key: str, kind: str) -> list:
     return [_typed(where, f"{key!r} item {i}", v, kind) for i, v in enumerate(_field(where, data, key, "a list"))]
 
 
+_MAX_MODULUS = 1e150  # its square stays finite, even after two sources add coherently
+
+
 def _finite(eid: str, re, im) -> complex:
-    z = complex(re, im)
+    try:
+        z = complex(re, im)
+    except OverflowError:  # an integer past the float range
+        z = complex(math.inf)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValidationError(f"element {eid!r} has a non-finite amplitude {z!r}")
+    if math.hypot(z.real, z.imag) > _MAX_MODULUS:
+        raise ValidationError(f"element {eid!r} has an amplitude {z!r} too large to square")
     return z
 
 
-def _ket_from_json(eid: str, space: Space, entries: Iterable[Mapping], bra: bool = False) -> Ket | Bra:
-    where = f"element {eid!r}"
+def _ket_from_json(eid: str, space: Space, params: Mapping, key: str, bra: bool = False) -> Ket | Bra:
+    """The ket (or bra) in field ``key`` of element ``eid``: each label names a
+    basis symbol of every subsystem in ``space``."""
     terms: dict[Label, complex] = {}
-    for entry in entries:
+    for i, entry in enumerate(_items(f"element {eid!r}", params, key, "an object")):
+        where = f"element {eid!r}: field {key!r} item {i}"
         symbols = _field(where, entry, "label", "an object")
-        label = tuple(_field(where, symbols, spec.id, "a string") for spec in space)
+        label = tuple(_field(f"{where} label", symbols, spec.id, "a string") for spec in space)
         terms[label] = _finite(eid, _field(where, entry, "re", "a number"), _field(where, entry, "im", "a number", 0.0))
-    return (Bra if bra else Ket)(space, terms)
+    try:
+        return (Bra if bra else Ket)(space, terms)
+    except StructuralError as err:  # a symbol outside its basis, a subsystem named twice
+        raise ValidationError(f"element {eid!r}: field {key!r}: {err}") from err
 
 
 def network_to_dict(network: Network) -> dict:
@@ -817,8 +816,6 @@ def network_from_dict(data: Mapping) -> Network:
         raise ValidationError("network description must be a JSON object")
     try:
         network = _parse_network(data)
-    except KeyError as err:
-        raise ValidationError(f"network description lacks key {err}") from err
     except (TypeError, ValueError, AttributeError) as err:
         raise ValidationError(f"malformed network description: {err}") from err
     if network._diagnostics:
@@ -849,11 +846,15 @@ def _parse_network(data: Mapping) -> Network:
         rank = _field(where, item, "rank", "an integer")
         text = lambda key: _field(where, params, key, "a string")
         if variant == "emitter":
-            space = tuple(by_id[sid] for sid in _items(where, params, "subsystems", "a string"))
-            state = _ket_from_json(eid, space, _items(where, params, "state", "an object"))
+            sids = _items(where, params, "subsystems", "a string")
+            for i, sid in enumerate(sids):
+                if sid not in by_id:
+                    raise ValidationError(f"{where}: field 'subsystems' item {i} {sid!r} is not a declared subsystem")
+            space = tuple(by_id[sid] for sid in sids)
+            state = _ket_from_json(eid, space, params, "state")
             # older files carry a confirmation filter; the backward pass uses the dual of the state
             if "filter" in params:
-                cw = _ket_from_json(eid, space, _items(where, params, "filter", "an object"), bra=True)
+                cw = _ket_from_json(eid, space, params, "filter", bra=True)
                 if not approx_equal(cw, dual(state)):
                     raise ValidationError(f"emitter {eid!r}: a filter must be the dual of the emitted state")
             elements.append(Emitter(eid, rank, state))

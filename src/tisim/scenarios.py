@@ -24,7 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
-from .amplitudes import Ket, SubsystemSpec, approx_equal, tensor, unit
+from .amplitudes import Ket, SubsystemSpec, _apply_symbol_map, approx_equal, tensor, unit
 from .engine import (
     CHUNK,
     AtomBasis,
@@ -430,20 +430,8 @@ def verification_checks() -> list[Check]:
     ok1 = _close(out1.amplitude(("u",)), 1j / _SQ2) and _close(out1.amplitude(("v",)), 1.0 / _SQ2)
     check("first-splitter-rule", ok1, repr(out1), "(i|u> + |v>)/sqrt2")
 
-    net2 = Network(
-        "second-splitter",
-        (photon,),
-        (
-            Emitter("Lu", 0, unit((photon,), ("u",), 1.0 / _SQ2)),
-            Emitter("Lv", 0, unit((photon,), ("v",), 1.0 / _SQ2)),
-            BeamSplitter("S2", 1, ("u", "v"), ("d", "c")),
-            Detector("C", 2, "c"),
-            Detector("D", 2, "d"),
-        ),
-        two_source=True,
-    )
-    from_u = forward_propagate(net2, initial=unit((photon,), ("u",))).continuing
-    from_v = forward_propagate(net2, initial=unit((photon,), ("v",))).continuing
+    s2 = BeamSplitter("S2", 1, ("u", "v"), ("d", "c")).forward_map()
+    from_u, from_v = (_apply_symbol_map(unit((photon,), (sym,)), 0, s2) for sym in ("u", "v"))
     ok2 = (
         _close(from_u.amplitude(("c",)), 1.0 / _SQ2)
         and _close(from_u.amplitude(("d",)), 1j / _SQ2)

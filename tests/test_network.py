@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 import tisim as t
-from tisim.amplitudes import SubsystemSpec, scale, unit
+from tisim.amplitudes import SubsystemSpec, _apply_symbol_map, scale, unit
 from tisim.errors import ContractError, ValidationError
-from tisim.network import AtomBox, BeamSplitter, Detector, Emitter, Network, _ket_to_json, _parse_network
+from tisim.network import AtomBox, BeamSplitter, Detector, Emitter, Network, _ket_to_json, _parse_network, emitted_state
 from netgen import qle_with_mirror, qle_with_three_outputs, random_network
 
 RT2 = math.sqrt(2.0)
@@ -140,33 +140,26 @@ def test_qle_forward_amplitudes_and_absorbed_masses(qle):
     assert abs(trace.absorbed_total() - 0.5) < 1e-12
 
 
-def test_hardy_snapshot_after_first_splitter(hardy):
+def test_hardy_state_after_first_splitter(hardy):
     # joint state right after the first splitter: (1/2)[i|u> + |v>][|+> + |->]
-    trace = t.forward_propagate(hardy)
-    snapshot = dict(trace.snapshots)[1]
-    assert abs(snapshot.amplitude(("u", "+", "0")) - 0.5j) < 1e-12
-    assert abs(snapshot.amplitude(("v", "+", "0")) - 0.5) < 1e-12
-    assert abs(snapshot.amplitude(("u", "-", "0")) - 0.5j) < 1e-12
-    assert abs(snapshot.amplitude(("v", "-", "0")) - 0.5) < 1e-12
+    s1 = hardy.element("S1").forward_map()
+    state = _apply_symbol_map(emitted_state(hardy), hardy.photon_index, s1)
+    assert abs(state.amplitude(("u", "+", "0")) - 0.5j) < 1e-12
+    assert abs(state.amplitude(("v", "+", "0")) - 0.5) < 1e-12
+    assert abs(state.amplitude(("u", "-", "0")) - 0.5j) < 1e-12
+    assert abs(state.amplitude(("v", "-", "0")) - 0.5) < 1e-12
 
 
-def test_forward_conserves_mass_rank_by_rank(hardy, qle):
-    for net in (hardy, qle):
+def test_forward_conserves_mass_box_by_box(hardy, qle):
+    nets = [hardy, qle] + [random_network(np.random.default_rng(900 + i), i) for i in range(30)]
+    for net in nets:
         trace = t.forward_propagate(net)
-        boxes = dict(trace.absorbed)
-        for rank, snapshot in trace.snapshots:
-            taken = sum(
-                t.norm_sq(k)
-                for bid, k in boxes.items()
-                if net.element(bid).rank <= rank
-            )
-            assert abs(t.norm_sq(snapshot) + taken - 1.0) < 1e-12
-
-
-def test_forward_rejects_initial_on_non_emitter_symbols(hardy):
-    rogue = unit((hardy.subsystems), ("u", "+", "0"))
-    with pytest.raises(ContractError):
-        t.forward_propagate(hardy, initial=rogue)
+        entering = 1.0
+        for fraction, (_, taken) in zip(trace.box_fractions, trace.absorbed, strict=True):
+            assert abs(t.norm_sq(taken) - fraction * entering) < 1e-12
+            entering -= t.norm_sq(taken)
+        assert abs(t.norm_sq(trace.continuing) + trace.absorbed_total() - 1.0) < 1e-12
+        assert len(trace.absorbed) == len(net.boxes())
 
 
 # -- backward propagation ---------------------------------------------------------
@@ -435,6 +428,14 @@ def test_loader_rejects_non_finite_amplitudes(element, field, value):
     else:
         item["params"]["state"][-1][field] = value
     with pytest.raises(ValidationError, match=f"element '{element}' has a non-finite amplitude"):
+        t.network_from_dict(json.loads(json.dumps(data)))
+
+
+@pytest.mark.parametrize("value, message", [(1e200, "an amplitude .* too large to square"), (10**400, "a non-finite")])
+def test_loader_rejects_amplitudes_whose_square_overflows(value, message):
+    data = t.network_to_dict(t.qle_network())
+    next(item for item in data["elements"] if item["id"] == "L")["params"]["state"][0]["re"] = value
+    with pytest.raises(ValidationError, match=f"element 'L' has {message}"):
         t.network_from_dict(json.loads(json.dumps(data)))
 
 

@@ -449,12 +449,31 @@ def with_element_field(element_id, field, value) -> dict:
     return data
 
 
+def with_label_symbol(element_id, entry, subsystem, symbol) -> dict:
+    """qle with one label of an emitter's state edited; ``symbol=None`` drops the subsystem."""
+    data = t.network_to_dict(t.qle_network())
+    label = next(item for item in data["elements"] if item["id"] == element_id)["params"]["state"][entry]["label"]
+    label.pop(subsystem)
+    if symbol is not None:
+        label[subsystem] = symbol
+    return data
+
+
 @pytest.mark.parametrize(
     "description, message",
     [
         (lambda: with_element_field("S1", "id", 7), "field 'id' must be a string, not an integer"),
         (lambda: with_element_field("A", "level", {"id": "atom1-level"}), "element 'A': field 'level' must be"),
         (lambda: with_element_field("S2", "inputs", ["u", {"v": 1}]), "element 'S2': field 'inputs' item 1"),
+        (lambda: with_element_field("L", "subsystems", ["nope"]), "element 'L': field 'subsystems' item 0 'nope'"),
+        (
+            lambda: with_label_symbol("atom1-source", 0, "atom1-level", None),
+            "element 'atom1-source': field 'state' item 0 label: field 'atom1-level' is missing",
+        ),
+        (
+            lambda: with_label_symbol("atom1-source", 1, "atom1", "y+"),
+            "element 'atom1-source': field 'state': symbol 'y+' is not in the basis of subsystem 'atom1'",
+        ),
     ],
 )
 @pytest.mark.parametrize("command", [["run", "qle", "--exact"], ["path", "|L-S1-B-S2-D>"]])

@@ -6,6 +6,7 @@ import threading
 import numpy as np
 
 import tisim as t
+from tisim import network as network_module
 from tisim.engine import AtomBasis, MeasurementContext
 from tisim.rng import uniform
 from netgen import random_network
@@ -71,13 +72,17 @@ def results(net, ctx):
     )
 
 
-def test_shared_network_answers_as_fresh_ones():
+def test_shared_network_answers_as_fresh_ones(monkeypatch):
+    walks = []  # every network walks its offer wave once, whatever it is asked about
+    walk = network_module.forward_propagate
+    monkeypatch.setattr(network_module, "forward_propagate", lambda net: walks.append(net) or walk(net))
     makers = [t.qle_network, t.hardy_network, lambda: random_network(np.random.default_rng(31), 0)]
     for make in makers:
         shared = make()
         for context in (t.z_context, t.y_context, lambda net: bloch(net, 0.7, 1.3), t.z_context):
             fresh = make()
             assert results(shared, context(shared)) == results(fresh, context(fresh))
+            assert [net for net in walks if net is shared or net is fresh] == [shared, fresh]
 
 
 def test_network_holds_one_stage_table():
