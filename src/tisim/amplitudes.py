@@ -359,8 +359,8 @@ def rebase(a, subsystem: str, matrix, new_symbols: tuple[str, str]):
     ``matrix`` rows give the new basis states in terms of the old ones:
     ``|new_j> = sum_k matrix[j, k] |old_k>``.  Ket amplitudes pick up the
     conjugated rows, bra coefficients the rows themselves, so norms are
-    preserved for any unitary matrix.  The result lists its terms in code
-    order.
+    preserved for any unitary matrix.  A symbol map on the old digits, then a
+    relabel to the new symbols, so terms keep the order they arose in.
     """
     i = subsystem_index(a.space, subsystem)
     spec = a.space[i]
@@ -374,26 +374,11 @@ def rebase(a, subsystem: str, matrix, new_symbols: tuple[str, str]):
     new_symbols = tuple(new_symbols)
     if len(new_symbols) != 2:
         raise ValidationError("exactly two new basis symbols required")
-    coeff = (m.conj() if isinstance(a, Ket) else m).tolist()
-    coeff = np.array([[c if abs(c) >= PRUNE else 0j for c in row] for row in coeff])
-    # in code order, pair each term with its partner on the other digit (a zero where absent)
-    stride, order = a._codec.strides[i], np.argsort(a._codes, kind="stable")
-    codes = a._codes[order]
-    partner = codes + stride * (1 - 2 * (codes // stride % 2))
-    missing = partner[codes[np.minimum(np.searchsorted(codes, partner), len(codes) - 1)] != partner]
-    zeros = np.zeros(len(missing))
-    codes, re, im = (np.concatenate(p) for p in ((codes, missing), (a._re[order], zeros), (a._im[order], zeros)))
-    order = np.argsort(codes, kind="stable")
-    codes, re, im = codes[order], re[order], im[order]
-    digit = codes // stride % 2
-    at = np.searchsorted(codes, codes + stride * (1 - 2 * digit))
-    # new amplitude j: coeff[j, j] times the term's own old amplitude plus
-    # coeff[j, 1 - j] times its partner's, from +0.0 (float addition commutes)
-    own, other = coeff.diagonal()[digit], coeff[:, ::-1].diagonal()[digit]
-    re0, im0 = _mul(own.real, own.imag, re, im)
-    re1, im1 = _mul(other.real, other.imag, re[at], im[at])
+    cols = (m.conj() if isinstance(a, Ket) else m).T.tolist()  # cols[k][j]: old symbol k's factor onto old j
+    mapping = {s: [(to, c) for to, c in zip(spec.basis, col) if abs(c) >= PRUNE] for s, col in zip(spec.basis, cols)}
+    out = _apply_symbol_map(a, i, mapping)
     codec = _slot_codec(a._codec, i, SubsystemSpec(spec.id, spec.kind, new_symbols))
-    return type(a)._coded(codec, codes, 0.0 + re0 + re1, 0.0 + im0 + im1)
+    return type(a)._coded(codec, out._codes, out._re, out._im, prune=False)
 
 
 def _apply_symbol_map(state, i: int, mapping):

@@ -214,8 +214,8 @@ def _candidates_from_ket(
     state: Ket, network: Network, excited_box: AtomBox | None = None
 ) -> tuple[TransactionCandidate, ...]:
     """The ket's terms as candidates, in canonical order: by photon name, then
-    atom symbols, then the whole label, compared as strings.  The sort runs on
-    each digit's rank among its subsystem's symbols."""
+    atom symbols, compared as strings (validated emitters leave no ties).  The
+    sort runs on each digit's rank among its subsystem's symbols."""
     terminals = network.terminal_symbols()
     photon_i = subsystem_index(state.space, network.photon.id)
     names = tuple(terminals.get(sym, sym) for sym in state.space[photon_i].basis)
@@ -227,9 +227,6 @@ def _candidates_from_ket(
     for i, r, d in zip(slots, ranks, digits):  # mixed radix over the ranks: fits, as the codes do
         by_outcome = by_outcome * codec.radices[i] + r[d]
     order = np.argsort(by_outcome, kind="stable")
-    if np.count_nonzero(np.diff(by_outcome[order])) < len(order) - 1:  # ties: break them on the whole label
-        label = sum(_ranks(s.basis)[codec.digit(state._codes, i)] * codec.strides[i] for i, s in enumerate(state.space))
-        order = np.lexsort((label, by_outcome))
     weights = _squared_moduli(state._re[order], state._im[order])
     excited = itertools.repeat(excited_box.atom if excited_box is not None else None)
     atoms = _atom_readings(codec, slots, symbols, [d[order] for d in digits])

@@ -319,13 +319,22 @@ def validate(network: Network) -> list[Diagnostic]:
     if photon_src and len({e.state.space for e in photon_src}) == 1:
         sources.append(([e.id for e in photon_src], reduce(add, [e.state for e in photon_src])))
     for ids, state in sources:
-        mass = norm_sq(state)
+        try:
+            mass = norm_sq(state)
+        except OverflowError:  # a squared modulus past the float range
+            mass = math.inf
         if abs(mass - 1.0) > TOL:
             add_diag(
                 ids[0] if len(ids) == 1 else None,
                 "emitter-norm",
                 f"state emitted by {' + '.join(ids)} has norm^2 {mass!r}, expected 1 within {TOL}",
             )
+
+    # atoms start in their ground level, the first symbol: the boxes and the echo's source filter assume it
+    for e in network.emitters():
+        for i, spec in enumerate(e.state.space):
+            if spec.kind == "atom-level" and any(label[i] != spec.basis[0] for label in e.state.terms):
+                add_diag(e.id, "emitter-level", f"level {spec.id!r} emitted outside its ground {spec.basis[0]!r}")
 
     produced, consumed, intersected = _symbol_table(network)
     basis = set(photon.basis)

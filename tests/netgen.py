@@ -3,13 +3,14 @@ descriptions for the validator's boundary tests."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 
 from tisim.amplitudes import Ket, SubsystemSpec, tensor, unit
 from tisim.network import AtomBox, BeamSplitter, Detector, Emitter, Mirror, Network, network_to_dict
-from tisim.scenarios import qle_network
+from tisim.scenarios import hardy_network, qle_network
 
 
 def random_network(rng: np.random.Generator, index: int) -> Network:
@@ -125,3 +126,14 @@ def qle_with_three_outputs() -> dict:
             item["params"]["outputs"] = ["d", "c", "x"]
     data["elements"].append({"id": "X", "rank": 4, "variant": "detector", "params": {"input": "x"}})
     return data
+
+
+def hardy_emitting_excited_levels() -> Network:
+    """hardy whose atom source also emits the excited level, so terms that
+    differ only in a level would read alike (same photon, same atoms)."""
+    hardy = hardy_network()
+    photon, spin, _ = hardy.subsystems
+    level = SubsystemSpec("atom1-level", "atom-level", ("g", "e"))
+    state = Ket((spin, level), {("+", "g"): 0.5, ("-", "g"): 0.5, ("+", "e"): 0.5j, ("-", "e"): -0.5})
+    elements = tuple(Emitter(e.id, e.rank, state) if e.id == "atom1-source" else e for e in hardy.elements)
+    return dataclasses.replace(hardy, subsystems=(photon, spin, level), elements=elements)

@@ -1,7 +1,8 @@
 """Exact CLI reports pinned byte for byte.
 
-``golden_exact.json`` maps each ``tisim run ... --exact`` command line to its
-JSON report with ``wall_time_s`` removed.  Regenerate it (only when a change
+``golden_exact.json`` maps each command line to its output: the JSON reports
+of ``tisim run ... --exact`` with ``wall_time_s`` removed, and the text of
+``tisim verify`` and ``tisim path``.  Regenerate it (only when a change
 of output is intended) from the repository root with::
 
     PYTHONPATH=src python3 tests/test_golden.py > tests/golden_exact.json
@@ -29,6 +30,8 @@ def golden_commands() -> list[list[str]]:
             for post in ("none", "d"):
                 commands.append(["run", name, "--exact", "--atom-basis", basis, "--post-select", post])
     commands.append(["run", "qle-chsh", "--exact"])
+    commands.append(["verify"])
+    commands.append(["path", "|L-_S1_-A-_S2_-D> + |L-S1-B-S2-D>"])
     return commands
 
 
@@ -36,6 +39,8 @@ def report(argv: list[str]) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert cli.main(argv) == 0
+    if argv[0] != "run":
+        return out.getvalue()
     text, n = re.subn(r', "wall_time_s": [^,}]+', "", out.getvalue())
     assert n == 1
     return text

@@ -10,7 +10,7 @@ import tisim as t
 from tisim.amplitudes import SubsystemSpec, _apply_symbol_map, scale, unit
 from tisim.errors import ContractError, ValidationError
 from tisim.network import AtomBox, BeamSplitter, Detector, Emitter, Network, _ket_to_json, _parse_network, emitted_state
-from netgen import qle_with_mirror, qle_with_three_outputs, random_network
+from netgen import hardy_emitting_excited_levels, qle_with_mirror, qle_with_three_outputs, random_network
 
 RT2 = math.sqrt(2.0)
 R = 1.0 / (2.0 * RT2)
@@ -380,6 +380,16 @@ def test_emitter_norm_is_checked(tmp_path, qle):
     assert t.validate(twin) == []
     loud_twin = scaled(twin, twin.photon_emitters()[1].id, 2.0)
     assert [(d.element, d.rule) for d in t.validate(loud_twin)] == [(None, "emitter-norm")]
+    # a norm^2 past the float range is reported, not raised as OverflowError
+    huge = scaled(qle, "L", 1e200)
+    assert [(d.element, d.rule, "norm^2 inf" in d.message) for d in t.validate(huge)] == [("L", "emitter-norm", True)]
+    with pytest.raises(ValidationError, match="emitter-norm"):
+        t.enumerate_transactions(huge, t.z_context(huge))
+
+
+def test_atom_levels_are_emitted_in_their_ground_symbol():
+    excited = hardy_emitting_excited_levels()
+    assert [(d.element, d.rule) for d in t.validate(excited)] == [("atom1-source", "emitter-level")]
 
 
 

@@ -20,7 +20,7 @@ from tisim.scenarios import (
     scenario_names,
     verification_checks,
 )
-from netgen import qle_with_mirror, qle_with_three_outputs
+from netgen import hardy_emitting_excited_levels, qle_with_mirror, qle_with_three_outputs
 
 RT2 = math.sqrt(2.0)
 
@@ -302,6 +302,7 @@ def with_foreign_filter() -> dict:
         (with_nan_emitter, "element 'L' has a non-finite amplitude"),
         (qle_with_three_outputs, "splitter-arity [S2]"),
         (with_foreign_filter, "emitter 'atom1-source': a filter must be the dual"),
+        (lambda: t.network_to_dict(hardy_emitting_excited_levels()), "emitter-level [atom1-source]"),
     ],
 )
 @pytest.mark.parametrize("command", [["run", "qle", "--exact"], ["run", "qle", "--trials", "100"]])
