@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
@@ -436,14 +438,29 @@ def _chunks(start: int, trials: int) -> list[tuple[int, int]]:
 
 
 def _tally(
-    candidates: Sequence[TransactionCandidate], seed: int, lane: int, start: int, trials: int
+    candidates: Sequence[TransactionCandidate], seed: int, lane: int, start: int, trials: int, workers: int = 1
 ) -> np.ndarray:
-    """Counts per candidate over trials ``start .. start+trials-1`` of stream (seed, lane)."""
+    """Counts per candidate over trials ``start .. start+trials-1`` of stream (seed, lane).
+
+    The CHUNK slices are counted on at most ``min(workers, os.cpu_count(),
+    chunks)`` threads, inline when that is one; the counts do not depend on it.
+    """
+    if workers < 1:
+        raise UsageError("workers must be >= 1")
     cut = _cut(candidates)
-    counts = np.zeros(cut.size, dtype=np.int64)
-    for lo, n in _chunks(start, trials):
-        counts += _count(cut, rng.uniforms(seed, lane, lo, n))
-    return counts
+    chunks = _chunks(start, trials)
+    threads = min(workers, os.cpu_count() or 1, len(chunks))
+    zero = np.zeros(cut.size, dtype=np.int64)
+
+    def count(part: list[tuple[int, int]]) -> np.ndarray:
+        return sum((_count(cut, rng.uniforms(seed, lane, lo, n)) for lo, n in part), zero)
+
+    if threads == 1:
+        return count(chunks)
+    # numpy's Philox fill and comparisons release the GIL, so threads overlap; thread j
+    # takes every threads-th chunk from j, so the pending work does not grow with the trials
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return sum(pool.map(count, [chunks[j::threads] for j in range(threads)]), zero)
 
 
 def _draws(stages, final, seed: int, lo: int, n: int):
@@ -478,12 +495,13 @@ def resolve_flat(dist: OutcomeDistribution, seed: int, trial: int) -> Outcome:
 
 
 def sample_flat(
-    dist: OutcomeDistribution, trials: int, seed: int, start: int = 0
+    dist: OutcomeDistribution, trials: int, seed: int, start: int = 0, workers: int = 1
 ) -> np.ndarray:
-    """Counts per candidate for trial indices ``start .. start+trials-1``."""
+    """Counts per candidate for trial indices ``start .. start+trials-1``, on up to
+    ``workers`` threads; the counts do not depend on ``workers``."""
     if trials < 1:
         raise UsageError("trials must be >= 1")
-    return _tally(dist.candidates, seed, LANE_OUTCOME, start, trials)
+    return _tally(dist.candidates, seed, LANE_OUTCOME, start, trials, workers)
 
 
 def resolve_hierarchical(
@@ -631,12 +649,13 @@ def chsh(network: Network, settings: ChshSettings, post: str = "D") -> ChshResul
 
 
 def chsh_monte_carlo(
-    network: Network, settings: ChshSettings, pairs: int, seed: int, post: str = "D"
+    network: Network, settings: ChshSettings, pairs: int, seed: int, post: str = "D", workers: int = 1
 ) -> ChshResult:
     """CHSH estimate from sampled post-selected pairs, split evenly over settings.
 
     Each setting pair samples its conditional (post-selected) distribution on
-    its own deterministic stream, so estimates merge reproducibly.
+    its own deterministic stream, so estimates merge reproducibly.  Each
+    setting's pairs are counted on up to ``workers`` threads, as in ``sample_flat``.
     """
     if pairs < 4:
         raise UsageError("need at least one pair per setting")
@@ -646,7 +665,7 @@ def chsh_monte_carlo(
     for lane, (key, conditional) in enumerate(conditionals.items()):
         n = pairs // 4 + (1 if lane < pairs % 4 else 0)
         cands = conditional.candidates
-        tally = _tally(cands, seed, 100 + lane, 0, n)
+        tally = _tally(cands, seed, 100 + lane, 0, n, workers)
         balance = int(_correlation(cands, tally.tolist()))  # same - different, exact
         counts[key] = ((n + balance) // 2, (n - balance) // 2)
         correlations[key] = balance / n

@@ -18,19 +18,14 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
-import numpy as np
 
 from .amplitudes import Ket, SubsystemSpec, _apply_symbol_map, approx_equal, tensor, unit
 from .engine import (
-    CHUNK,
     AtomBasis,
     ChshSettings,
     MeasurementContext,
-    OutcomeDistribution,
     _correlation,
     _exact_chsh,
     _pair_conditionals,
@@ -252,139 +247,79 @@ class RunReport:
         return a == b
 
 
-def _distribution_rows(dist: OutcomeDistribution) -> list[dict]:
-    rows = []
-    for i, c in enumerate(dist.candidates):
-        count = None if dist.counts is None else dist.counts[i]
-        prob = c.weight if dist.counts is None else (
-            dist.counts[i] / dist.trials if dist.trials else 0.0
-        )
-        rows.append({"outcome": c.outcome.label, "count": count, "probability": prob})
-    return rows
-
-
 def run_exact(scenario: Scenario) -> RunReport:
     """Analytic distribution (and derived statistics) for a scenario."""
-    t0 = time.perf_counter()
-    if scenario.name == "qle-chsh":
-        return _run_chsh(scenario, t0)
-    dist = enumerate_transactions(scenario.network, scenario.context)
-    derived: dict = {}
-    reported = dist
-    if scenario.post_selection:
-        reported, _ = post_select(dist, scenario.post_selection)
-        derived["post_selected_on"] = scenario.post_selection
-        derived["selection_probability"] = dist.photon_marginal().get(scenario.post_selection, 0.0)
-    cands = reported.candidates
-    if cands and len(cands[0].outcome.atoms) == 2:
-        derived["correlation"] = _correlation(cands, [c.weight for c in cands])
-    return RunReport(
-        schema=1,
-        scenario=scenario.name,
-        mode="exact",
-        seed=None,
-        trials=None,
-        outcomes=_distribution_rows(reported),
-        photon_probabilities=reported.photon_marginal(),
-        absorbed_probability=reported.absorbed_probability(),
-        derived=derived,
-        wall_time_s=time.perf_counter() - t0,
-    )
+    return _run(scenario)
 
 
 def run_mc(scenario: Scenario, trials: int, seed: int, workers: int = 1) -> RunReport:
     """Monte Carlo run; counts are bit-identical for any worker count.
 
-    The trials split into ranges of whole CHUNKs, one per worker thread; at
-    most ``os.cpu_count()`` threads run, never more than there are chunks.
+    The engine counts the trials in 2**20-trial chunks on up to ``workers`` threads.
     """
     if trials < 1:
         raise UsageError("trials must be >= 1")
-    if workers < 1:
-        raise UsageError("workers must be >= 1")
+    return _run(scenario, trials, seed, workers)
+
+
+def _run(scenario: Scenario, trials: int | None = None, seed: int | None = None, workers: int = 1) -> RunReport:
+    """The report of an exact run (``trials`` None) or a Monte Carlo one."""
     t0 = time.perf_counter()
-    if scenario.name == "qle-chsh":
-        return _run_chsh(scenario, t0, trials=trials, seed=seed)
-    dist = enumerate_transactions(scenario.network, scenario.context)
-    sampled = dist
-    if scenario.post_selection:
-        sampled, _ = post_select(dist, scenario.post_selection)
-    n_chunks = -(-trials // CHUNK)
-    workers = min(workers, os.cpu_count() or 1, n_chunks)
-    bounds = [min(trials, i * n_chunks // workers * CHUNK) for i in range(workers + 1)]
-    ranges = list(zip(bounds, bounds[1:]))
-
-    def part(lo_hi: tuple[int, int]) -> np.ndarray:
-        lo, hi = lo_hi
-        return sample_flat(sampled, hi - lo, seed, lo)
-
-    if workers > 1:
-        # numpy's Philox fill and comparisons release the GIL, so threads overlap
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(part, ranges))
+    chsh = scenario.name == "qle-chsh"
+    post = scenario.post_selection or ("D" if chsh else None)
+    derived: dict = {"post_selected_on": post} if post else {}
+    if chsh:
+        settings = scenario.params["settings"]
+        if trials is None:
+            conditionals = _pair_conditionals(scenario.network, settings, post)
+            result = _exact_chsh(conditionals, settings)
+            outcomes = [
+                {"outcome": f"{key}:{c.outcome.label}", "count": None, "probability": c.weight / len(conditionals)}
+                for key, conditional in conditionals.items()
+                for c in conditional.candidates
+            ]
+        else:
+            result = chsh_monte_carlo(scenario.network, settings, trials, seed, post, workers)
+            outcomes = [
+                {"outcome": f"{key}:{kind}", "count": k, "probability": k / trials}
+                for key, pair in result.counts.items()
+                for kind, k in zip(("same", "different"), pair)
+            ]
+        derived.update(
+            chsh_s=result.s,
+            correlations=dict(result.correlations),
+            angles_deg=list(scenario.params["angles"]),
+        )
+        photon_probabilities, absorbed_probability = {post: 1.0}, 0.0
     else:
-        parts = [part(ranges[0])]
-    counts = [int(k) for k in np.sum(parts, axis=0)]
-    # observed frequencies stand in for the weights, so the marginals are sampled ones
-    observed = replace(
-        sampled,
-        candidates=tuple(replace(c, weight=k / trials) for c, k in zip(sampled.candidates, counts)),
-        seed=seed,
-        trials=trials,
-        counts=tuple(counts),
-    )
-    derived: dict = {}
-    if scenario.post_selection:
-        derived["post_selected_on"] = scenario.post_selection
+        dist = enumerate_transactions(scenario.network, scenario.context)
+        reported = post_select(dist, post)[0] if post else dist
+        cands = reported.candidates
+        if trials is None:
+            if post:
+                derived["selection_probability"] = dist.photon_marginal().get(post, 0.0)
+            if cands and len(cands[0].outcome.atoms) == 2:
+                derived["correlation"] = _correlation(cands, [c.weight for c in cands])
+            counts = [None] * len(cands)
+        else:
+            counts = sample_flat(reported, trials, seed, workers=workers).tolist()
+            # observed frequencies stand in for the weights, so the marginals are sampled ones
+            cands = tuple(replace(c, weight=k / trials) for c, k in zip(cands, counts))
+            reported = replace(reported, candidates=cands)
+        outcomes = [
+            {"outcome": c.outcome.label, "count": k, "probability": c.weight} for c, k in zip(cands, counts)
+        ]
+        photon_probabilities = reported.photon_marginal()
+        absorbed_probability = reported.absorbed_probability()
     return RunReport(
         schema=1,
         scenario=scenario.name,
-        mode="monte-carlo",
-        seed=seed,
-        trials=trials,
-        outcomes=_distribution_rows(observed),
-        photon_probabilities=observed.photon_marginal(),
-        absorbed_probability=observed.absorbed_probability(),
-        derived=derived,
-        wall_time_s=time.perf_counter() - t0,
-    )
-
-
-def _run_chsh(scenario: Scenario, t0: float, trials: int | None = None, seed: int | None = None) -> RunReport:
-    settings = scenario.params["settings"]
-    post = scenario.post_selection or "D"
-    if trials is None:
-        conditionals = _pair_conditionals(scenario.network, settings, post)
-        result = _exact_chsh(conditionals, settings)
-        mode = "exact"
-        outcomes = [
-            {"outcome": f"{key}:{c.outcome.label}", "count": None, "probability": c.weight / len(conditionals)}
-            for key, conditional in conditionals.items()
-            for c in conditional.candidates
-        ]
-    else:
-        result = chsh_monte_carlo(scenario.network, settings, pairs=trials, seed=seed, post=post)
-        mode = "monte-carlo"
-        outcomes = [
-            {"outcome": f"{key}:{kind}", "count": k, "probability": k / trials}
-            for key, pair in result.counts.items()
-            for kind, k in zip(("same", "different"), pair)
-        ]
-    derived = {
-        "chsh_s": result.s,
-        "correlations": dict(result.correlations),
-        "angles_deg": list(scenario.params["angles"]),
-        "post_selected_on": post,
-    }
-    return RunReport(
-        schema=1,
-        scenario=scenario.name,
-        mode=mode,
+        mode="exact" if trials is None else "monte-carlo",
         seed=seed,
         trials=trials,
         outcomes=outcomes,
-        photon_probabilities={post: 1.0},
-        absorbed_probability=0.0,
+        photon_probabilities=photon_probabilities,
+        absorbed_probability=absorbed_probability,
         derived=derived,
         wall_time_s=time.perf_counter() - t0,
     )

@@ -358,10 +358,10 @@ def test_cli_verify_exit_three_on_failure(monkeypatch, capsys):
 
 
 class _InlinePool:
-    """Stands in for ThreadPoolExecutor: records the pool size and ranges, starts no thread."""
+    """Stands in for ThreadPoolExecutor: records the pool size and each thread's chunks, starts no thread."""
 
     sizes: list[int] = []
-    ranges: list[tuple[int, int]] = []
+    parts: list[list[tuple[int, int]]] = []
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
@@ -374,35 +374,80 @@ class _InlinePool:
 
     def map(self, fn, items):
         items = list(items)
-        self.ranges.extend(items)
+        self.parts.extend(items)
         return map(fn, items)
 
 
-def test_worker_threads_are_capped_by_cpus_and_chunks(monkeypatch):
-    import tisim.scenarios as scenarios
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """The engine's thread pool replaced by ``_InlinePool``, on a machine with 3 CPUs."""
+    import tisim.engine as engine
 
     monkeypatch.setattr(_InlinePool, "sizes", [])
-    monkeypatch.setattr(_InlinePool, "ranges", [])
-    monkeypatch.setattr(scenarios, "ThreadPoolExecutor", _InlinePool)
-    monkeypatch.setattr(scenarios.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(_InlinePool, "parts", [])
+    monkeypatch.setattr(engine, "ThreadPoolExecutor", _InlinePool)
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 3)
+    return _InlinePool
+
+
+def test_worker_threads_are_capped_by_cpus_and_chunks(inline_pool):
     scenario = build_scenario("qle")
     many = run_mc(scenario, trials=4 * CHUNK, seed=4, workers=5000)
-    assert _InlinePool.sizes == [3]
-    assert [lo for lo, _ in _InlinePool.ranges] == [0, CHUNK, 2 * CHUNK]
+    assert inline_pool.sizes == [3]
+    assert [[lo for lo, _ in part] for part in inline_pool.parts] == [[0, 3 * CHUNK], [CHUNK], [2 * CHUNK]]
     assert many.payload_equal(run_mc(scenario, trials=4 * CHUNK, seed=4, workers=1))
     run_mc(scenario, trials=CHUNK + 1, seed=4, workers=5000)
-    assert _InlinePool.sizes == [3, 2]
+    assert inline_pool.sizes == [3, 2]
     run_mc(scenario, trials=10_000, seed=4, workers=5000)  # one chunk runs inline
-    assert _InlinePool.sizes == [3, 2]
+    assert inline_pool.sizes == [3, 2]
 
 
-def test_mc_threads_match_one_worker_across_chunks():
+def test_mc_threads_match_one_worker_across_chunks(monkeypatch):
+    import tisim.engine as engine
+
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 3)  # so three threads run on any machine
     scenario = build_scenario("hardy-ifm", post_select="D")
     trials = 2 * CHUNK + 3
     one = run_mc(scenario, trials=trials, seed=2**63 + 1, workers=1)
-    two = run_mc(scenario, trials=trials, seed=2**63 + 1, workers=2)
-    assert one.payload_equal(two)
-    assert sum(row["count"] for row in two.outcomes) == trials
+    for workers in (2, 3):
+        assert one.payload_equal(run_mc(scenario, trials=trials, seed=2**63 + 1, workers=workers))
+    assert sum(row["count"] for row in one.outcomes) == trials
+
+
+def test_chsh_monte_carlo_threads_per_setting(inline_pool):
+    scenario = build_scenario("qle-chsh")
+    pairs = 4 * CHUNK + 5  # every setting spans two chunks
+    run_mc(scenario, trials=pairs, seed=11, workers=1)
+    assert inline_pool.sizes == []
+    run_mc(scenario, trials=pairs, seed=11, workers=2)
+    assert inline_pool.sizes == [2] * 4  # one pool of two threads per setting
+    run_mc(scenario, trials=pairs, seed=11, workers=3)  # capped by the two chunks
+    assert inline_pool.sizes == [2] * 8
+
+
+def test_chsh_monte_carlo_threads_match_one_worker(monkeypatch):
+    import tisim.engine as engine
+
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 3)
+    scenario = build_scenario("qle-chsh")
+    pairs = 4 * CHUNK + 5
+    one = run_mc(scenario, trials=pairs, seed=12, workers=1)
+    for workers in (2, 3):
+        assert one.payload_equal(run_mc(scenario, trials=pairs, seed=12, workers=workers))
+    assert sum(row["count"] for row in one.outcomes) == pairs
+
+
+def test_fewer_than_one_worker_is_a_usage_error():
+    qle = t.qle_network()
+    settings = build_scenario("qle-chsh").params["settings"]
+    for call in (
+        lambda: t.sample_flat(t.enumerate_transactions(qle, t.z_context(qle)), 10, 0, workers=0),
+        lambda: t.chsh_monte_carlo(qle, settings, 8, 0, workers=0),
+        lambda: run_mc(build_scenario("qle"), trials=10, seed=0, workers=0),
+        lambda: run_mc(build_scenario("qle-chsh"), trials=10, seed=0, workers=-1),
+    ):
+        with pytest.raises(UsageError, match="workers"):
+            call()
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
@@ -438,6 +483,19 @@ def test_library_seed_errors_are_simulator_errors():
             t.sample_flat(dist, 10, seed)
         with pytest.raises(SimulatorError):
             uniforms(seed, 0, 0, 1)
+    # trial indices outside the stream's [0, 2**66)
+    qle = t.qle_network()
+    for call in (
+        lambda: t.resolve_flat(dist, 5, -1),
+        lambda: t.resolve_hierarchical(qle, t.z_context(qle), 5, -3),
+        lambda: t.sample_flat(dist, 10, 5, start=-5),
+        lambda: t.resolve_flat(dist, 5, 2**70),
+        lambda: t.sample_flat(dist, 10, 5, start=2**66 - 9),
+        lambda: uniforms(5, 0, 0, -1),
+    ):
+        with pytest.raises(SimulatorError):
+            call()
+    assert uniforms(5, 0, 2**66 - 1, 1).shape == (1,)  # the last index of the stream
 
 
 def with_element_field(element_id, field, value) -> dict:
