@@ -320,8 +320,13 @@ def inner(bra: Bra, ket: Ket) -> complex:
 def _contract(state: _State, factors) -> complex:
     """``inner`` of ``state`` with the tensor product of ``factors`` (which
     split its subsystems), without forming the product: each term looks its
-    factors up on their own digits, so the cost grows with ``state`` alone.
-    Per term the factor values multiply in order, then the term's amplitude."""
+    factors up on their own digits, so the cost grows with ``state`` alone."""
+    return _sum(*_term_products(state, factors))
+
+
+def _term_products(state: _State, factors) -> tuple[np.ndarray, np.ndarray]:
+    """Per term of ``state``, the split parts of its summand in ``_contract``:
+    the factor values on its digits multiplied in order, then its amplitude."""
     if sorted(s.id for f in factors for s in f.space) != sorted(s.id for s in state.space):
         raise StructuralError("factors do not cover the state's subsystems once each")
     value = None
@@ -333,7 +338,7 @@ def _contract(state: _State, factors) -> complex:
         table[:, f._codes] = f._re, f._im
         re, im = table[:, sum(state._codec.digit(state._codes, i) * s for i, s in zip(slots, f._codec.strides))]
         value = (re, im) if value is None else _mul(*value, re, im)
-    return _sum(*_mul(*value, state._re, state._im))
+    return _mul(*value, state._re, state._im)
 
 
 def _sum(re: np.ndarray, im: np.ndarray) -> complex:

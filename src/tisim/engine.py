@@ -21,25 +21,22 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from . import rng
 from .amplitudes import (
-    Bra,
     Ket,
     Space,
     SubsystemSpec,
     _squared_moduli,
-    dual,
     rebase,
     subsystem_index,
-    unit,
 )
 from .errors import ContractError, StructuralError, UsageError, ValidationError
-from .network import AtomBox, Network, backward_propagate
+from .network import AtomBox, Network, confirmation_wave
 
 LANE_OUTCOME = 0  # final outcome draw; hierarchy stage k draws on lane 1 + k
 CHUNK = 2**20  # trials drawn at a time, so sampling memory does not grow with the trial count
@@ -365,40 +362,31 @@ def hierarchical_distribution(network: Network, context: MeasurementContext) -> 
 # -- confirmation-wave (echo) weights ------------------------------------------
 
 
-def _anchor_for(network: Network, outcome: Outcome, context: MeasurementContext):
-    """Build the sector confirmation bras matching an enumerated outcome."""
-    terminals = {eid: sym for sym, eid in network.terminal_symbols().items()}
-    if outcome.photon not in terminals:
-        raise ContractError(f"outcome {outcome.label!r} is not terminal")
-    photon_bra = unit((network.photon,), (terminals[outcome.photon],), bra=True)
-    atom_bras: dict[str, Bra] = {}
-    for atom_id, symbol in outcome.atoms:
-        spec = next(a for a in network.atoms() if a.id == atom_id)
-        if outcome.excited == atom_id:
-            atom_bras[atom_id] = unit((spec,), (symbol,), bra=True)
-            continue
-        basis = context.basis_for(atom_id)
-        m = basis.matrix()
-        if m is None:
-            atom_bras[atom_id] = unit((spec,), (symbol,), bra=True)
-        else:
-            row = basis.symbols(spec).index(symbol)
-            state = Ket((spec,), {(spec.basis[0],): m[row, 0], (spec.basis[1],): m[row, 1]})
-            atom_bras[atom_id] = dual(state)
-    return photon_bra, atom_bras
-
-
 def echo_weight(network: Network, outcome: Outcome, context: MeasurementContext) -> float:
     """Born weight of an outcome computed through the backward CW route only.
 
-    The confirmation wave is anchored at the outcome, propagated source-ward
-    through the conjugate element maps, and filtered at every emitter; the
-    squared modulus of the surviving joint amplitude is the weight.  No
-    forward inner product is taken.
+    The terminal's confirmation wave, walked source-ward through the conjugate
+    element maps and filtered at every emitter once per network
+    (``confirmation_wave``), is read against each atom's bra: the conjugated
+    row of the context's basis matrix, or a unit column for z and for the atom
+    the photon left excited.  The squared modulus of the sum is the weight.
     """
-    photon_bra, atom_bras = _anchor_for(network, outcome, context)
-    report = backward_propagate(network, photon_bra, atom_bras)
-    return report.weight
+    excited, wave = confirmation_wave(network, outcome.photon)
+    readings, atoms, label = dict(outcome.atoms), network.atoms(), repr(outcome.label)
+    if outcome.excited != excited:
+        raise ContractError(f"outcome {label}: its photon leaves {excited or 'no atom'!r} excited")
+    if len(readings) != len(outcome.atoms) or readings.keys() != {a.id for a in atoms}:
+        raise ContractError(f"outcome {label} does not read each atom {[a.id for a in atoms]} once")
+    bras = []
+    for spec in atoms:
+        basis = AtomBasis.z() if spec.id == excited else context.basis_for(spec.id)
+        symbols, m, symbol = basis.symbols(spec), basis.matrix(), readings[spec.id]
+        if symbol not in symbols or (m is not None and len(spec.basis) != 2):
+            raise ContractError(f"outcome {label}: atom {spec.id!r} cannot read {symbol!r} in {basis.kind}")
+        row = symbols.index(symbol)
+        bras.append(np.eye(len(symbols))[row] if m is None else m[row].conj())
+    # the bras' tensor product, first atom outermost, as W is laid out
+    return abs(complex(reduce(np.multiply.outer, bras, np.ones(())).ravel() @ wave)) ** 2
 
 
 # -- resolution (sampling) -----------------------------------------------------
@@ -431,10 +419,10 @@ def _count(cut: np.ndarray, u: np.ndarray) -> np.ndarray:
     return at_or_above[:-1] - at_or_above[1:]
 
 
-def _chunks(start: int, trials: int) -> list[tuple[int, int]]:
-    """``(first trial, count)`` slices of at most CHUNK trials covering ``start .. start+trials-1``."""
-    stop = start + trials
-    return [(lo, min(CHUNK, stop - lo)) for lo in range(start, stop, CHUNK)]
+def _chunks(start: int, trials: int) -> range:
+    """The first trials of the slices of at most CHUNK trials covering
+    ``start .. start+trials-1``: a range, so slicing it takes no memory."""
+    return range(start, start + trials, CHUNK)
 
 
 def _tally(
@@ -448,12 +436,12 @@ def _tally(
     if workers < 1:
         raise UsageError("workers must be >= 1")
     cut = _cut(candidates)
-    chunks = _chunks(start, trials)
+    chunks, stop = _chunks(start, trials), start + trials
     threads = min(workers, os.cpu_count() or 1, len(chunks))
     zero = np.zeros(cut.size, dtype=np.int64)
 
-    def count(part: list[tuple[int, int]]) -> np.ndarray:
-        return sum((_count(cut, rng.uniforms(seed, lane, lo, n)) for lo, n in part), zero)
+    def count(part: range) -> np.ndarray:
+        return sum((_count(cut, rng.uniforms(seed, lane, lo, min(CHUNK, stop - lo))) for lo in part), zero)
 
     if threads == 1:
         return count(chunks)
@@ -527,8 +515,8 @@ def sample_hierarchical(
     flat = _flat(network, context, stages, final)
     index_of = {c.outcome: i for i, c in enumerate(flat.candidates)}
     counts = np.zeros(len(flat.candidates), dtype=np.int64)
-    for lo, n in _chunks(0, trials):
-        for cands, u in _draws(stages, final, seed, lo, n):
+    for lo in _chunks(0, trials):
+        for cands, u in _draws(stages, final, seed, lo, min(CHUNK, trials - lo)):
             np.add.at(counts, [index_of[c.outcome] for c in cands], _count(_cut(cands), u))
     return replace(
         flat, provenance="hierarchical", seed=seed, trials=trials, counts=tuple(int(c) for c in counts)

@@ -24,6 +24,7 @@ Conventions, fixed once for the whole package:
 from __future__ import annotations
 
 import graphlib
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -43,6 +44,7 @@ from .amplitudes import (
     _Codec,
     _apply_symbol_map,
     _contract,
+    _term_products,
     add,
     approx_equal,
     dual,
@@ -206,6 +208,12 @@ class Network:
     def _stage_tables(self) -> dict:
         """The stage table of the last context asked about, keyed by the atoms'
         bases (``engine._hierarchy_stages``); it lives as long as the network."""
+        return {}
+
+    @cached_property
+    def _confirmation_waves(self) -> dict:
+        """Per terminal id, its confirmation wave read at the sources
+        (``confirmation_wave``), filled on first use; it lives as long as the network."""
         return {}
 
 
@@ -535,6 +543,51 @@ def forward_propagate(network: Network) -> PropagationTrace:
 # -- backward propagation -----------------------------------------------------
 
 
+def _walk_back(network: Network, joint: Bra) -> Bra:
+    """A confirmation wave carried terminal -> sources: the transposed maps in reverse rank order."""
+    photon_i = network.photon_index
+    for element in reversed(network.ordered()):
+        if isinstance(element, (BeamSplitter, Mirror)):
+            joint = _apply_symbol_map(joint, photon_i, _transpose_map(element.forward_map()))
+        elif isinstance(element, AtomBox):
+            codes, _ = _box_relabel(joint._codec, element)(joint._codes)  # a bijection: no two terms merge
+            joint = Bra._coded(joint._codec, codes, joint._re, joint._im, prune=False)
+    return joint
+
+
+def confirmation_wave(network: Network, terminal: str) -> tuple[str | None, np.ndarray]:
+    """The confirmation wave of a terminal (a detector or box id) read at the
+    sources: its amplitude W(s) for each spin configuration s of the atoms.
+
+    No element map changes a spin digit, so one walk carries every spin basis
+    state as its own term; atom bras b then give sum_s prod_atom b_atom(s_atom) W(s).
+    Returns the atom the terminal leaves excited (``None`` for a detector) and
+    W, mixed radix over the atoms in declaration order.  Walked once per network
+    and terminal, reading no forward result.
+    """
+    wave = network._confirmation_waves.get(terminal)
+    if wave is None:  # built in a local first, so a racing thread stores an equal wave
+        _require_valid(network)
+        symbol = next((sym for sym, eid in network.terminal_symbols().items() if eid == terminal), None)
+        if symbol is None:
+            raise ContractError(f"{terminal!r} is not a detector or box of network {network.name!r}")
+        box = next((b for b in network.boxes() if b.id == terminal), None)
+        level = box.level if box is not None else None  # excited there, ground elsewhere
+        choices = [s.basis if s.kind == "atom-spin" else (s.basis[s.id == level],) for s in network.subsystems[1:]]
+        anchor = dict.fromkeys(itertools.product((symbol,), *choices), 1.0)  # a term per spin configuration
+        joint = _walk_back(network, Bra(network.subsystems, anchor))
+        atom_states = [e.state for e in _atom_sources(network)]
+        parts = [_term_products(joint, [e.state, *atom_states]) for e in network.photon_emitters()]
+        codec, config = joint._codec, np.zeros_like(joint._codes)
+        for i, spec in enumerate(codec.space):
+            if spec.kind == "atom-spin":
+                config = config * codec.radices[i] + codec.digit(joint._codes, i)
+        size = math.prod(len(a.basis) for a in network.atoms())
+        re, im = (np.bincount(config, sum(p[k] for p in parts), size) for k in (0, 1))
+        network._confirmation_waves[terminal] = wave = (box.atom if box is not None else None, re + 1j * im)
+    return wave
+
+
 def backward_propagate(
     network: Network,
     confirmation: Bra,
@@ -593,13 +646,7 @@ def backward_propagate(
     if joint.space != network.subsystems:
         raise StructuralError("anchor does not cover the declared subsystem order")
 
-    photon_i = network.photon_index
-    for element in reversed(network.ordered()):
-        if isinstance(element, (BeamSplitter, Mirror)):
-            joint = _apply_symbol_map(joint, photon_i, _transpose_map(element.forward_map()))
-        elif isinstance(element, AtomBox):
-            codes, _ = _box_relabel(joint._codec, element)(joint._codes)  # a bijection: no two terms merge
-            joint = Bra._coded(joint._codec, codes, joint._re, joint._im, prune=False)
+    joint = _walk_back(network, joint)
 
     # per-sector amplitudes at the sources
     sector: dict[str, complex] = {}

@@ -1,0 +1,118 @@
+"""The confirmation-wave echo: one backward walk per network and terminal,
+read against each outcome's atom bras, and never against the offer wave."""
+
+import dataclasses
+import sys
+import threading
+from pathlib import Path
+
+import pytest
+
+import tisim as t
+import tisim.network as network_module
+from tisim.engine import AtomBasis, MeasurementContext, Outcome
+from tisim.errors import ContractError
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+from cascade import cascade  # noqa: E402
+
+TOL = 1e-12
+
+
+def contexts(network):
+    bloch = MeasurementContext({a.id: AtomBasis.bloch(0.7, 1.3) for a in network.atoms()})
+    return (t.z_context(network), t.y_context(network), bloch)
+
+
+def fresh(network):
+    """An identical network that has walked nothing yet."""
+    return dataclasses.replace(network)
+
+
+def born_tables(network):
+    """Per context, the Born candidates of ``network``."""
+    return [(ctx, t.enumerate_transactions(network, ctx).candidates) for ctx in contexts(network)]
+
+
+def test_echo_rejects_malformed_outcomes(qle):
+    z, both = t.z_context(qle), (("atom1", "+"), ("atom2", "+"))
+    malformed = [
+        Outcome("D", (("atom1", "+"), ("atom3", "+"))),  # an unknown atom
+        Outcome("D", (("atom1", "y+"), ("atom2", "+"))),  # a symbol outside the context's basis
+        Outcome("D", (("atom1", "+"), ("atom2", "+"), ("atom1", "-"))),  # an atom read twice
+        Outcome("D", (("atom1", "+"),)),  # an atom left out
+        Outcome("D", both, excited="atom1"),  # a detection leaves no atom excited
+        Outcome("A", both),  # box A's absorption excites atom1
+        Outcome("S1", both),  # not a terminal
+    ]
+    for outcome in malformed:
+        with pytest.raises(ContractError) as err:
+            t.echo_weight(qle, outcome, z)
+        assert "\n" not in str(err.value), outcome
+    assert abs(t.echo_weight(qle, Outcome("D", both), z) - 1.0 / 16.0) < TOL
+
+
+def test_echo_reads_no_offer_wave(monkeypatch, hardy, qle):
+    nets = (hardy, qle, t.two_laser_variant(qle), cascade(4, 0))
+    tables = [born_tables(net) for net in nets]
+
+    def refuse(network):
+        raise AssertionError("the echo walked the offer wave")
+
+    monkeypatch.setattr(network_module, "forward_propagate", refuse)
+    for net, table in zip(nets, tables):
+        echoed = fresh(net)
+        for ctx, candidates in table:
+            for c in candidates:
+                assert abs(t.echo_weight(echoed, c.outcome, ctx) - c.weight) <= TOL, (net.name, c.outcome)
+        assert "_offer_wave" not in vars(echoed)
+
+
+def test_each_terminal_walks_back_once(monkeypatch, qle):
+    tables = born_tables(qle)
+    walks = []
+    real = network_module._walk_back
+    monkeypatch.setattr(network_module, "_walk_back", lambda net, bra: walks.append(net) or real(net, bra))
+    echoed = fresh(qle)
+    for ctx, candidates in tables:
+        for c in candidates:
+            t.echo_weight(echoed, c.outcome, ctx)
+    terminals = {c.outcome.photon for _, candidates in tables for c in candidates}
+    assert len(walks) == len(terminals) == 4
+    # backward_propagate anchors its own bras and walks them through the same helper
+    spins = {a.id: t.unit((a,), ("+",), bra=True) for a in qle.atoms()}
+    report = t.backward_propagate(echoed, t.unit((qle.photon,), ("d",), bra=True), spins)
+    assert len(walks) == 5
+    assert abs(report.weight - t.echo_weight(echoed, Outcome("D", (("atom1", "+"), ("atom2", "+"))), t.z_context(qle))) < TOL
+
+
+def test_echoes_on_two_threads_match_serial(qle):
+    tables = born_tables(qle)
+    serial_net = fresh(qle)
+    serial = [t.echo_weight(serial_net, c.outcome, ctx) for ctx, cands in tables for c in cands]
+    shared = fresh(qle)
+    results = [None, None]
+
+    def echo_all(slot):
+        results[slot] = [t.echo_weight(shared, c.outcome, ctx) for ctx, cands in tables for c in cands]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so both race to fill each wave
+    try:
+        threads = [threading.Thread(target=echo_all, args=(slot,)) for slot in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [serial, serial]
+
+
+@pytest.mark.parametrize("k", [5, 6, 7, 8, 9])
+def test_born_equals_echo_on_every_cascade_candidate(k):
+    net = cascade(k, 0)
+    for ctx, candidates in born_tables(net):
+        worst = max(abs(t.echo_weight(net, c.outcome, ctx) - c.weight) for c in candidates)
+        assert worst <= TOL, f"cascade({k}): |Born - echo| reaches {worst:.3e}"

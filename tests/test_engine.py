@@ -168,6 +168,37 @@ def test_sample_flat_chunking_is_invariant(qle):
     assert np.array_equal(whole, parts)
 
 
+def test_sample_flat_memory_does_not_grow_with_trials(monkeypatch, qle):
+    import tracemalloc
+
+    import tisim.engine as engine
+
+    dist = t.enumerate_transactions(qle, t.z_context(qle))
+    calls = []
+
+    class CutOff(Exception):
+        pass
+
+    def first_chunk_only(seed, lane, lo, n):
+        calls.append((lo, n))
+        if len(calls) > 1:
+            raise CutOff
+        return np.full(8, 0.5)  # stands in for the chunk's CHUNK uniforms, which are not what is measured
+
+    monkeypatch.setattr(engine.rng, "uniforms", first_chunk_only)
+    for workers in (1, 2):
+        calls.clear()
+        tracemalloc.start()
+        try:
+            with pytest.raises(CutOff):
+                t.sample_flat(dist, 10**12, seed=3, workers=workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls[0] in ((0, CHUNK), (CHUNK, CHUNK))
+        assert peak < 2**20, f"{workers} worker(s): peak {peak} B before the second chunk"
+
+
 def reference_counts(candidates, u):
     """One-shot inverse-CDF counts over all of ``u``: the mapping every sampler keeps."""
     cum = np.cumsum([c.weight for c in candidates])

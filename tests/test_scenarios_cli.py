@@ -361,7 +361,7 @@ class _InlinePool:
     """Stands in for ThreadPoolExecutor: records the pool size and each thread's chunks, starts no thread."""
 
     sizes: list[int] = []
-    parts: list[list[tuple[int, int]]] = []
+    parts: list[range] = []  # each thread's chunk starts
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
@@ -394,7 +394,7 @@ def test_worker_threads_are_capped_by_cpus_and_chunks(inline_pool):
     scenario = build_scenario("qle")
     many = run_mc(scenario, trials=4 * CHUNK, seed=4, workers=5000)
     assert inline_pool.sizes == [3]
-    assert [[lo for lo, _ in part] for part in inline_pool.parts] == [[0, 3 * CHUNK], [CHUNK], [2 * CHUNK]]
+    assert [list(part) for part in inline_pool.parts] == [[0, 3 * CHUNK], [CHUNK], [2 * CHUNK]]
     assert many.payload_equal(run_mc(scenario, trials=4 * CHUNK, seed=4, workers=1))
     run_mc(scenario, trials=CHUNK + 1, seed=4, workers=5000)
     assert inline_pool.sizes == [3, 2]
