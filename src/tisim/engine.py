@@ -41,6 +41,7 @@ from .network import AtomBox, Network, confirmation_wave
 LANE_OUTCOME = 0  # final outcome draw; hierarchy stage k draws on lane 1 + k
 CHUNK = 2**20  # trials drawn at a time, so sampling memory does not grow with the trial count
 COMPARE_MAX = 64  # up to this many candidates, counting comparisons beats searchsorted
+STAGE_TABLES = 4  # stage tables a network keeps, one per recent context: the four CHSH settings
 
 
 # -- measurement contexts -----------------------------------------------------
@@ -88,6 +89,9 @@ class AtomBasis:
         return ("n+", "n-")
 
 
+_Z = AtomBasis.z()
+
+
 @dataclass
 class MeasurementContext:
     """One basis per atom; atoms not named are measured in z."""
@@ -95,7 +99,16 @@ class MeasurementContext:
     atom_bases: dict[str, AtomBasis] = field(default_factory=dict)
 
     def basis_for(self, atom_id: str) -> AtomBasis:
-        return self.atom_bases.get(atom_id, AtomBasis.z())
+        return self.atom_bases.get(atom_id, _Z)
+
+
+@lru_cache(maxsize=256)
+def _bras(basis: AtomBasis, levels: int) -> np.ndarray:
+    """Row i: the bra of the basis's i-th symbol in the z basis, read-only and shared."""
+    m = basis.matrix()
+    bras = np.eye(levels) if m is None else m.conj()
+    bras.setflags(write=False)
+    return bras
 
 
 def z_context(network: Network) -> MeasurementContext:
@@ -287,8 +300,9 @@ def _hierarchy_stages(network: Network, context: MeasurementContext):
     it absorbs a photon reaching it (absorbed mass over the mass entering the
     box) paired with its candidates; then the candidates of the wave that
     passes every box.  Candidates are in canonical order and carry their
-    unconditioned Born weights.  The network keeps the table of the last
-    context it was asked about, keyed by the atoms' bases.
+    unconditioned Born weights.  The network keeps up to ``STAGE_TABLES``
+    tables, keyed by the atoms' bases: a miss inserts one and evicts the
+    oldest-inserted beyond the bound, a hit changes nothing.
     """
     atoms = network.atoms()
     extra = set(context.atom_bases) - {a.id for a in atoms}
@@ -296,15 +310,19 @@ def _hierarchy_stages(network: Network, context: MeasurementContext):
         raise StructuralError(f"context assigns bases to unknown atoms {sorted(extra)}")
     key = tuple(context.basis_for(a.id) for a in atoms)
     table = network._stage_tables.get(key)
-    if table is None:  # built in a local, so a thread racing a replacement still returns its own
+    if table is None:  # built in a local, so a thread racing an eviction still returns its own
         trace = network._offer_wave
         # the final candidates first, so a context the atoms cannot take fails here
         final = _stage_candidates(network, context, None, trace.continuing)
         boxes = {b.id: b for b in network.boxes()}
         absorbed = zip(trace.box_fractions, trace.absorbed)
         table = tuple((p, _stage_candidates(network, context, boxes[b], ket)) for p, (b, ket) in absorbed), final
-        network._stage_tables.clear()  # one per network; racing threads may each leave one till the next miss
-        network._stage_tables[key] = table
+        tables = network._stage_tables
+        tables[key] = table
+        # list() copies the keys in one step, so a racing insert cannot break the walk; each
+        # insert trims after itself, so once the threads are done at most STAGE_TABLES remain
+        for old in list(tables)[:-STAGE_TABLES]:
+            tables.pop(old, None)
     return table
 
 
@@ -379,12 +397,11 @@ def echo_weight(network: Network, outcome: Outcome, context: MeasurementContext)
         raise ContractError(f"outcome {label} does not read each atom {[a.id for a in atoms]} once")
     bras = []
     for spec in atoms:
-        basis = AtomBasis.z() if spec.id == excited else context.basis_for(spec.id)
-        symbols, m, symbol = basis.symbols(spec), basis.matrix(), readings[spec.id]
-        if symbol not in symbols or (m is not None and len(spec.basis) != 2):
+        basis = _Z if spec.id == excited else context.basis_for(spec.id)
+        symbols, rows, symbol = basis.symbols(spec), _bras(basis, len(spec.basis)), readings[spec.id]
+        if symbol not in symbols or len(rows) != len(spec.basis):
             raise ContractError(f"outcome {label}: atom {spec.id!r} cannot read {symbol!r} in {basis.kind}")
-        row = symbols.index(symbol)
-        bras.append(np.eye(len(symbols))[row] if m is None else m[row].conj())
+        bras.append(rows[symbols.index(symbol)])
     # the bras' tensor product, first atom outermost, as W is laid out
     return abs(complex(reduce(np.multiply.outer, bras, np.ones(())).ravel() @ wave)) ** 2
 

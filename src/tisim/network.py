@@ -206,8 +206,9 @@ class Network:
 
     @cached_property
     def _stage_tables(self) -> dict:
-        """The stage table of the last context asked about, keyed by the atoms'
-        bases (``engine._hierarchy_stages``); it lives as long as the network."""
+        """The stage tables of the last few contexts asked about (at most
+        ``engine.STAGE_TABLES``, oldest-inserted first), keyed by the atoms' bases
+        (``engine._hierarchy_stages``); they live as long as the network."""
         return {}
 
     @cached_property

@@ -6,8 +6,9 @@ import threading
 import numpy as np
 
 import tisim as t
+from tisim import engine
 from tisim import network as network_module
-from tisim.engine import AtomBasis, MeasurementContext
+from tisim.engine import AtomBasis, ChshSettings, MeasurementContext
 from tisim.rng import uniform
 from netgen import random_network
 from test_engine import hardy_with_second_box
@@ -79,19 +80,82 @@ def test_shared_network_answers_as_fresh_ones(monkeypatch):
     makers = [t.qle_network, t.hardy_network, lambda: random_network(np.random.default_rng(31), 0)]
     for make in makers:
         shared = make()
-        for context in (t.z_context, t.y_context, lambda net: bloch(net, 0.7, 1.3), t.z_context):
+        for context in (t.z_context, t.y_context, lambda net: bloch(net, 0.7, 1.3), t.z_context, t.y_context):
             fresh = make()
             assert results(shared, context(shared)) == results(fresh, context(fresh))
             assert [net for net in walks if net is shared or net is fresh] == [shared, fresh]
 
 
-def test_network_holds_one_stage_table():
+def test_network_keeps_at_most_stage_tables():
     net = t.qle_network()
     for i in range(50):
         t.enumerate_transactions(net, bloch(net, 0.05 * i, 0.1 * i))
-    assert len(net._stage_tables) == 1
+    assert len(net._stage_tables) == engine.STAGE_TABLES
     t.resolve_hierarchical(net, t.y_context(net), 1, 0)
-    assert len(net._stage_tables) == 1
+    assert len(net._stage_tables) == engine.STAGE_TABLES
+
+
+def settings_contexts(net):
+    """The four contexts of one CHSH run, in ``pair_contexts`` order."""
+    settings = ChshSettings(a=(0.3, 0.0), a_prime=(1.1, 0.0), b=(0.7, 0.4), b_prime=(1.9, 0.0))
+    return [ctx for _, ctx in engine.pair_contexts(net, settings)]
+
+
+def key(net, ctx):
+    return tuple(ctx.basis_for(a.id) for a in net.atoms())
+
+
+def counting_builds(monkeypatch, net):
+    """The keys of every stage table ``net`` builds, in build order."""
+    builds = []
+    real = engine._stage_candidates
+
+    def count(network, context, box, ket):
+        if network is net and box is None:  # one final stage per table
+            builds.append(key(network, context))
+        return real(network, context, box, ket)
+
+    monkeypatch.setattr(engine, "_stage_candidates", count)
+    return builds
+
+
+def test_switching_contexts_builds_each_table_once(monkeypatch):
+    net = t.qle_network()
+    builds = counting_builds(monkeypatch, net)
+    z, y = t.z_context(net), t.y_context(net)
+    for ctx in (z, y, z, y):
+        t.resolve_hierarchical(net, ctx, 3, 0)
+        t.enumerate_transactions(net, ctx)
+    assert builds == [key(net, z), key(net, y)]
+
+    net = t.qle_network()
+    builds = counting_builds(monkeypatch, net)
+    chsh, z = settings_contexts(net), t.z_context(net)
+    assert len({key(net, ctx) for ctx in chsh}) == engine.STAGE_TABLES
+    for ctx in (*chsh, *reversed(chsh), *chsh, z):  # one CHSH run asks each setting more than once
+        t.hierarchical_distribution(net, ctx)
+    assert builds == [key(net, ctx) for ctx in (*chsh, z)]
+    before = list(net._stage_tables.items())
+    for ctx in (*chsh[1:], z):  # a hit leaves the tables and their order alone
+        t.enumerate_transactions(net, ctx)
+    assert list(net._stage_tables.items()) == before
+
+
+def test_a_fifth_context_evicts_the_oldest_inserted_table(monkeypatch):
+    net = t.qle_network()
+    builds = counting_builds(monkeypatch, net)
+    chsh = settings_contexts(net)
+    for ctx in (*chsh, chsh[0]):  # asking the oldest again does not make it the newest
+        t.enumerate_transactions(net, ctx)
+    z = t.z_context(net)
+    t.enumerate_transactions(net, z)
+    assert list(net._stage_tables) == [key(net, ctx) for ctx in (*chsh[1:], z)]
+    for ctx in (*chsh[1:], z):
+        t.enumerate_transactions(net, ctx)
+    assert builds == [key(net, ctx) for ctx in (*chsh, z)]
+    t.enumerate_transactions(net, chsh[0])
+    assert builds[-1] == key(net, chsh[0])
+    assert list(net._stage_tables) == [key(net, ctx) for ctx in (*chsh[2:], z, chsh[0])]
 
 
 def test_threads_sharing_a_network_see_their_own_contexts():
@@ -122,3 +186,45 @@ def test_threads_sharing_a_network_see_their_own_contexts():
     assert not any(thread.is_alive() for thread in threads)
     assert got == expected
     assert 1 <= len(shared._stage_tables) <= 2
+
+
+def test_threads_over_more_contexts_than_tables_see_their_own():
+    def contexts(net):
+        return [t.z_context(net), t.y_context(net), *settings_contexts(net)]
+
+    def calls(net, order):
+        contexts_here = contexts(net)
+        out = []
+        for i in range(30 * len(order)):
+            ctx = contexts_here[order[i % len(order)]]
+            out.append(repr((t.resolve_hierarchical(net, ctx, 11, i), t.enumerate_transactions(net, ctx))))
+        return out
+
+    orders = ((0, 1, 2, 3, 4, 5), (5, 4, 3, 2, 1, 0), (1, 3, 5, 0, 2, 4), (4, 0, 5, 1, 3, 2))
+    assert len(contexts(t.qle_network())) > engine.STAGE_TABLES
+    expected = [calls(t.qle_network(), order) for order in orders]
+    shared = t.qle_network()
+    got, errors = [None] * len(orders), []
+    start = threading.Barrier(len(orders))
+
+    def worker(i):
+        start.wait()
+        try:
+            got[i] = calls(shared, orders[i])
+        except BaseException as err:  # noqa: BLE001 - reported by the main thread
+            errors.append(err)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so inserts and evictions interleave
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(orders))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert got == expected
+    assert 1 <= len(shared._stage_tables) <= engine.STAGE_TABLES
