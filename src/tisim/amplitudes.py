@@ -314,19 +314,15 @@ def inner(bra: Bra, ket: Ket) -> complex:
     order = np.argsort(ket._codes)
     at = order[np.minimum(np.searchsorted(ket._codes, bra._codes, sorter=order), len(order) - 1)]
     hit = ket._codes[at] == bra._codes
-    return _sum(*_mul(bra._re[hit], bra._im[hit], ket._re[at[hit]], ket._im[at[hit]]))
-
-
-def _contract(state: _State, factors) -> complex:
-    """``inner`` of ``state`` with the tensor product of ``factors`` (which
-    split its subsystems), without forming the product: each term looks its
-    factors up on their own digits, so the cost grows with ``state`` alone."""
-    return _sum(*_term_products(state, factors))
+    re, im = _mul(bra._re[hit], bra._im[hit], ket._re[at[hit]], ket._im[at[hit]])
+    return complex(sum(re.tolist()), sum(im.tolist()))  # added in array order
 
 
 def _term_products(state: _State, factors) -> tuple[np.ndarray, np.ndarray]:
-    """Per term of ``state``, the split parts of its summand in ``_contract``:
-    the factor values on its digits multiplied in order, then its amplitude."""
+    """Per term of ``state``, the split parts of its summand in the ``inner``
+    of ``state`` with the tensor product of ``factors`` (which split its
+    subsystems), without forming the product: the factor values on its digits
+    multiplied in order, then its amplitude."""
     if sorted(s.id for f in factors for s in f.space) != sorted(s.id for s in state.space):
         raise StructuralError("factors do not cover the state's subsystems once each")
     value = None
@@ -339,11 +335,6 @@ def _term_products(state: _State, factors) -> tuple[np.ndarray, np.ndarray]:
         re, im = table[:, sum(state._codec.digit(state._codes, i) * s for i, s in zip(slots, f._codec.strides))]
         value = (re, im) if value is None else _mul(*value, re, im)
     return _mul(*value, state._re, state._im)
-
-
-def _sum(re: np.ndarray, im: np.ndarray) -> complex:
-    """Sum of the complex values ``re + i im``, added in array order."""
-    return complex(sum(re.tolist()), sum(im.tolist()))
 
 
 def project(a, subsystem: str, symbol: str):

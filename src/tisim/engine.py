@@ -33,7 +33,6 @@ from .amplitudes import (
     SubsystemSpec,
     _squared_moduli,
     rebase,
-    subsystem_index,
 )
 from .errors import ContractError, StructuralError, UsageError, ValidationError
 from .network import AtomBox, Network, confirmation_wave
@@ -228,10 +227,9 @@ def _candidates_from_ket(
     """The ket's terms as candidates, in canonical order: by photon name, then
     atom symbols, compared as strings (validated emitters leave no ties).  The
     sort runs on each digit's rank among its subsystem's symbols."""
-    terminals = network.terminal_symbols()
-    photon_i = subsystem_index(state.space, network.photon.id)
-    names = tuple(terminals.get(sym, sym) for sym in state.space[photon_i].basis)
-    slots = (photon_i, *(subsystem_index(state.space, a.id) for a in network.atoms()))
+    plan = network._plan
+    names = tuple(plan.terminals.get(sym, sym) for sym in state.space[0].basis)
+    slots = (0, *plan.atoms.values())
     codec = state._codec
     symbols, ranks = _outcome_tables(codec, slots, names)
     digits = [codec.digit(state._codes, i) for i in slots]
@@ -291,6 +289,16 @@ def _ranks(strings: Sequence[str]) -> np.ndarray:
     return np.array([position[s] for s in strings], dtype=np.int64)
 
 
+def _atom_bases(network: Network, context: MeasurementContext) -> tuple[AtomBasis, ...]:
+    """The context's basis for each atom of the network, in declaration order;
+    a context that names an atom the network lacks is a ``StructuralError``."""
+    atoms = network._plan.atoms
+    extra = context.atom_bases.keys() - atoms.keys()
+    if extra:
+        raise StructuralError(f"context assigns bases to unknown atoms {sorted(extra)}")
+    return tuple(context.basis_for(atom) for atom in atoms)
+
+
 def _hierarchy_stages(network: Network, context: MeasurementContext):
     """The stage table every enumeration, resolver and sampler works from.
 
@@ -304,17 +312,13 @@ def _hierarchy_stages(network: Network, context: MeasurementContext):
     tables, keyed by the atoms' bases: a miss inserts one and evicts the
     oldest-inserted beyond the bound, a hit changes nothing.
     """
-    atoms = network.atoms()
-    extra = set(context.atom_bases) - {a.id for a in atoms}
-    if extra:
-        raise StructuralError(f"context assigns bases to unknown atoms {sorted(extra)}")
-    key = tuple(context.basis_for(a.id) for a in atoms)
+    key = _atom_bases(network, context)
     table = network._stage_tables.get(key)
     if table is None:  # built in a local, so a thread racing an eviction still returns its own
         trace = network._offer_wave
         # the final candidates first, so a context the atoms cannot take fails here
         final = _stage_candidates(network, context, None, trace.continuing)
-        boxes = {b.id: b for b in network.boxes()}
+        boxes = network._plan.boxes
         absorbed = zip(trace.box_fractions, trace.absorbed)
         table = tuple((p, _stage_candidates(network, context, boxes[b], ket)) for p, (b, ket) in absorbed), final
         tables = network._stage_tables
@@ -390,20 +394,20 @@ def echo_weight(network: Network, outcome: Outcome, context: MeasurementContext)
     the photon left excited.  The squared modulus of the sum is the weight.
     """
     excited, wave = confirmation_wave(network, outcome.photon)
-    readings, atoms, label = dict(outcome.atoms), network.atoms(), repr(outcome.label)
+    bases, readings, atoms = _atom_bases(network, context), dict(outcome.atoms), network.atoms()
     if outcome.excited != excited:
-        raise ContractError(f"outcome {label}: its photon leaves {excited or 'no atom'!r} excited")
+        raise ContractError(f"outcome {outcome.label!r}: its photon leaves {excited or 'no atom'!r} excited")
     if len(readings) != len(outcome.atoms) or readings.keys() != {a.id for a in atoms}:
-        raise ContractError(f"outcome {label} does not read each atom {[a.id for a in atoms]} once")
+        raise ContractError(f"outcome {outcome.label!r} does not read each atom {[a.id for a in atoms]} once")
     bras = []
-    for spec in atoms:
-        basis = _Z if spec.id == excited else context.basis_for(spec.id)
+    for spec, basis in zip(atoms, bases):
+        basis = _Z if spec.id == excited else basis
         symbols, rows, symbol = basis.symbols(spec), _bras(basis, len(spec.basis)), readings[spec.id]
         if symbol not in symbols or len(rows) != len(spec.basis):
-            raise ContractError(f"outcome {label}: atom {spec.id!r} cannot read {symbol!r} in {basis.kind}")
+            raise ContractError(f"outcome {outcome.label!r}: atom {spec.id!r} cannot read {symbol!r} in {basis.kind}")
         bras.append(rows[symbols.index(symbol)])
-    # the bras' tensor product, first atom outermost, as W is laid out
-    return abs(complex(reduce(np.multiply.outer, bras, np.ones(())).ravel() @ wave)) ** 2
+    # the bras' tensor product, first atom outermost, as W is laid out; the photon sources add coherently
+    return abs(sum((wave @ reduce(np.multiply.outer, bras, np.ones(())).ravel()).tolist())) ** 2
 
 
 # -- resolution (sampling) -----------------------------------------------------

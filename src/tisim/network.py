@@ -28,7 +28,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce
 from pathlib import Path
 from typing import Mapping
 
@@ -43,7 +43,7 @@ from .amplitudes import (
     SubsystemSpec,
     _Codec,
     _apply_symbol_map,
-    _contract,
+    _codec_for,
     _term_products,
     add,
     approx_equal,
@@ -158,10 +158,6 @@ class Network:
                 return spec
         raise StructuralError("network declares no photon-path subsystem")
 
-    @property
-    def photon_index(self) -> int:
-        return subsystem_index(self.subsystems, self.photon.id)
-
     def atoms(self) -> tuple[SubsystemSpec, ...]:
         return tuple(s for s in self.subsystems if s.kind == "atom-spin")
 
@@ -199,6 +195,31 @@ class Network:
         return tuple(validate(self))
 
     @cached_property
+    def _plan(self) -> _Plan:
+        """The network compiled once for its walks; an invalid network has none."""
+        if self._diagnostics:
+            raise ValidationError("invalid network: " + "; ".join(map(str, self._diagnostics)))
+        codec, steps = _codec_for(self.subsystems), []
+        for e in self.ordered():
+            if isinstance(e, AtomBox):
+                relabel = _box_relabel(codec, e)
+                steps.append((e, relabel, relabel))
+            elif isinstance(e, (BeamSplitter, Mirror)):
+                forward, back = e.forward_map(), {}
+                for in_sym, branches in forward.items():
+                    for out_sym, factor in branches:
+                        back.setdefault(out_sym, []).append((in_sym, factor))
+                steps.append((None, forward, back))
+        photon_sources = self.photon_emitters()
+        atom_sources = sorted(
+            (e for e in self.emitters() if e not in photon_sources),
+            key=lambda e: subsystem_index(self.subsystems, e.state.space[0].id),
+        )
+        boxes = {b.id: b for b in self.boxes()}
+        atoms = {s.id: i for i, s in enumerate(self.subsystems) if s.kind == "atom-spin"}
+        return _Plan(tuple(steps), photon_sources, tuple(atom_sources), self.terminal_symbols(), boxes, atoms)
+
+    @cached_property
     def _offer_wave(self) -> PropagationTrace:
         """``forward_propagate(self)``, walked once per network: every context
         reads the same offer wave and only rebases it at the absorbers."""
@@ -216,6 +237,24 @@ class Network:
         """Per terminal id, its confirmation wave read at the sources
         (``confirmation_wave``), filled on first use; it lives as long as the network."""
         return {}
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """What the walks read of a valid network (``Network._plan``), built once.
+
+    ``steps`` are the splitters, mirrors and boxes in rank order, each
+    ``(box, forward, back)``: a splitter or mirror has box ``None``, its
+    forward symbol map and the transposed one; a box has its relabel
+    (``_box_relabel``, an involution) both ways.  A valid network declares the
+    photon first (the ``subsystem-order`` rule), so its slot is always 0."""
+
+    steps: tuple[tuple, ...]
+    photon_sources: tuple[Emitter, ...]
+    atom_sources: tuple[Emitter, ...]  # in subsystem order
+    terminals: dict[str, str]  # terminal photon symbol -> detector or box id
+    boxes: dict[str, AtomBox]  # by id
+    atoms: dict[str, int]  # atom-spin subsystem id -> its slot, in declaration order
 
 
 @dataclass(frozen=True)
@@ -424,11 +463,6 @@ def validate(network: Network) -> list[Diagnostic]:
     return diags
 
 
-def _require_valid(network: Network) -> None:
-    if network._diagnostics:
-        raise ValidationError("invalid network: " + "; ".join(map(str, network._diagnostics)))
-
-
 def _ports(e: Element) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """Photon symbols an element takes in (for a box, the path it sits on) and puts out."""
     if isinstance(e, BeamSplitter):
@@ -466,52 +500,35 @@ def _symbol_table(network: Network) -> tuple[dict[str, list[Element]], ...]:
 
 
 def emitted_state(network: Network) -> Ket:
-    """Tensor product of all emitted states (photon emitters add coherently),
-    the non-photon sources in subsystem order."""
-    state = reduce(add, [e.state for e in network.photon_emitters()])
-    for e in _atom_sources(network):
+    """Tensor product of all emitted states of a valid network (photon
+    emitters add coherently), the non-photon sources in subsystem order."""
+    plan = network._plan
+    state = reduce(add, [e.state for e in plan.photon_sources])
+    for e in plan.atom_sources:
         state = tensor(state, e.state)
     if state.space != network.subsystems:
         raise StructuralError("emitter coverage does not match the declared subsystem order")
     return state
 
 
-def _atom_sources(network: Network) -> list[Emitter]:
-    photon_emitters = network.photon_emitters()
-    return sorted(
-        (e for e in network.emitters() if e not in photon_emitters),
-        key=lambda e: subsystem_index(network.subsystems, e.state.space[0].id),
-    )
-
-
-def _transpose_map(mapping) -> dict[str, list[tuple[str, complex]]]:
-    out: dict[str, list[tuple[str, complex]]] = {}
-    for in_sym, branches in mapping.items():
-        for out_sym, factor in branches:
-            out.setdefault(out_sym, []).append((in_sym, factor))
-    return out
-
-
-@lru_cache(maxsize=1024)
 def _box_relabel(codec: _Codec, box: AtomBox):
     """The box as an involution on the label codes of ``codec``'s space:
     ``(path, blocking, ground) <-> (marker, blocking, excited)`` on the
-    (photon, spin, level) digits.
+    (photon, spin, level) digits, the photon in slot 0.
 
     Returns ``relabel(codes) -> (new codes, moved mask)``: each code's shift
     of the photon and level digits, looked up on its three digits."""
     space = codec.space
-    photon_i = next(i for i, s in enumerate(space) if s.kind == "photon-path")
     atom_i, level_i = subsystem_index(space, box.atom), subsystem_index(space, box.level)
-    path, marker = space[photon_i].basis.index(box.path), space[photon_i].basis.index(box.marker)
+    path, marker = space[0].basis.index(box.path), space[0].basis.index(box.marker)
     blocking = space[atom_i].basis.index(box.blocking)
-    shift = (marker - path) * codec.strides[photon_i] + codec.strides[level_i]  # ground is level digit 0
-    step = np.zeros(tuple(codec.radices[i] for i in (photon_i, atom_i, level_i)), dtype=np.int64)
+    shift = (marker - path) * codec.strides[0] + codec.strides[level_i]  # ground is level digit 0
+    step = np.zeros(tuple(codec.radices[i] for i in (0, atom_i, level_i)), dtype=np.int64)
     step[path, blocking, 0], step[marker, blocking, 1] = shift, -shift
-    step.setflags(write=False)  # cached and shared by every caller
+    step.setflags(write=False)  # shared by every walk of the network
 
     def relabel(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        moves = step[codec.digit(codes, photon_i), codec.digit(codes, atom_i), codec.digit(codes, level_i)]
+        moves = step[codec.digit(codes, 0), codec.digit(codes, atom_i), codec.digit(codes, level_i)]
         return codes + moves, moves != 0
 
     return relabel
@@ -520,24 +537,21 @@ def _box_relabel(codec: _Codec, box: AtomBox):
 def forward_propagate(network: Network) -> PropagationTrace:
     """Propagate the emitted offer wave source -> detectors in rank order;
     the engine reads each network's one walk (``Network._offer_wave``)."""
-    _require_valid(network)
     state = emitted_state(network)
-    photon_i = network.photon_index
     absorbed: list[tuple[str, Ket]] = []
     fractions: list[float] = []
-    for element in network.ordered():
-        if isinstance(element, (BeamSplitter, Mirror)):
-            state = _apply_symbol_map(state, photon_i, element.forward_map())
-        elif isinstance(element, AtomBox):
-            before = norm_sq(state)
-            # no term carries the marker before its box, so a moved label is an absorbed term
-            codes, moved = _box_relabel(state._codec, element)(state._codes)
-            kept = ~moved
-            taken = Ket._coded(state._codec, codes[moved], state._re[moved], state._im[moved], prune=False)
-            state = Ket._coded(state._codec, codes[kept], state._re[kept], state._im[kept], prune=False)
-            absorbed.append((element.id, taken))
-            fractions.append(norm_sq(taken) / before if before > 0 else 0.0)
-        # emitters and detectors do not transform the in-flight state
+    for box, forward, _ in network._plan.steps:
+        if box is None:
+            state = _apply_symbol_map(state, 0, forward)
+            continue
+        before = norm_sq(state)
+        # no term carries the marker before its box, so a moved label is an absorbed term
+        codes, moved = forward(state._codes)
+        kept = ~moved
+        taken = Ket._coded(state._codec, codes[moved], state._re[moved], state._im[moved], prune=False)
+        state = Ket._coded(state._codec, codes[kept], state._re[kept], state._im[kept], prune=False)
+        absorbed.append((box.id, taken))
+        fractions.append(norm_sq(taken) / before if before > 0 else 0.0)
     return PropagationTrace(continuing=state, absorbed=tuple(absorbed), box_fractions=tuple(fractions))
 
 
@@ -546,12 +560,11 @@ def forward_propagate(network: Network) -> PropagationTrace:
 
 def _walk_back(network: Network, joint: Bra) -> Bra:
     """A confirmation wave carried terminal -> sources: the transposed maps in reverse rank order."""
-    photon_i = network.photon_index
-    for element in reversed(network.ordered()):
-        if isinstance(element, (BeamSplitter, Mirror)):
-            joint = _apply_symbol_map(joint, photon_i, _transpose_map(element.forward_map()))
-        elif isinstance(element, AtomBox):
-            codes, _ = _box_relabel(joint._codec, element)(joint._codes)  # a bijection: no two terms merge
+    for box, _, back in reversed(network._plan.steps):
+        if box is None:
+            joint = _apply_symbol_map(joint, 0, back)
+        else:
+            codes, _ = back(joint._codes)  # a bijection: no two terms merge
             joint = Bra._coded(joint._codec, codes, joint._re, joint._im, prune=False)
     return joint
 
@@ -563,29 +576,29 @@ def confirmation_wave(network: Network, terminal: str) -> tuple[str | None, np.n
     No element map changes a spin digit, so one walk carries every spin basis
     state as its own term; atom bras b then give sum_s prod_atom b_atom(s_atom) W(s).
     Returns the atom the terminal leaves excited (``None`` for a detector) and
-    W, mixed radix over the atoms in declaration order.  Walked once per network
-    and terminal, reading no forward result.
+    W, one row per photon source (in a two-source network the rows add
+    coherently), mixed radix over the atoms in declaration order.  Walked once
+    per network and terminal, reading no forward result.
     """
     wave = network._confirmation_waves.get(terminal)
     if wave is None:  # built in a local first, so a racing thread stores an equal wave
-        _require_valid(network)
-        symbol = next((sym for sym, eid in network.terminal_symbols().items() if eid == terminal), None)
+        plan = network._plan
+        symbol = next((sym for sym, eid in plan.terminals.items() if eid == terminal), None)
         if symbol is None:
             raise ContractError(f"{terminal!r} is not a detector or box of network {network.name!r}")
-        box = next((b for b in network.boxes() if b.id == terminal), None)
+        box = plan.boxes.get(terminal)
         level = box.level if box is not None else None  # excited there, ground elsewhere
         choices = [s.basis if s.kind == "atom-spin" else (s.basis[s.id == level],) for s in network.subsystems[1:]]
         anchor = dict.fromkeys(itertools.product((symbol,), *choices), 1.0)  # a term per spin configuration
         joint = _walk_back(network, Bra(network.subsystems, anchor))
-        atom_states = [e.state for e in _atom_sources(network)]
-        parts = [_term_products(joint, [e.state, *atom_states]) for e in network.photon_emitters()]
         codec, config = joint._codec, np.zeros_like(joint._codes)
-        for i, spec in enumerate(codec.space):
-            if spec.kind == "atom-spin":
-                config = config * codec.radices[i] + codec.digit(joint._codes, i)
-        size = math.prod(len(a.basis) for a in network.atoms())
-        re, im = (np.bincount(config, sum(p[k] for p in parts), size) for k in (0, 1))
-        network._confirmation_waves[terminal] = wave = (box.atom if box is not None else None, re + 1j * im)
+        for i in plan.atoms.values():
+            config = config * codec.radices[i] + codec.digit(joint._codes, i)
+        size = math.prod(codec.radices[i] for i in plan.atoms.values())
+        atom_states = [e.state for e in plan.atom_sources]
+        parts = [_term_products(joint, [e.state, *atom_states]) for e in plan.photon_sources]
+        rows = [np.bincount(config, re, size) + 1j * np.bincount(config, im, size) for re, im in parts]
+        network._confirmation_waves[terminal] = wave = (box.atom if box is not None else None, np.array(rows))
     return wave
 
 
@@ -595,67 +608,58 @@ def backward_propagate(
     atom_bras: Mapping[str, Bra] | None = None,
     ow_amplitudes: Mapping[str, float] | None = None,
 ) -> EchoReport:
-    """Propagate a confirmation wave terminal -> sources and filter at each emitter.
+    """Read a terminal's confirmation wave against the caller's bras and filter at each emitter.
 
     ``confirmation`` must be a photon-sector bra supported on exactly one
-    terminal symbol (a detector's input or a box marker).  ``atom_bras`` maps
-    each atom-spin subsystem to the spin component of the confirmation wave
-    (defaults to the blocking spin for the atom of an anchoring box).  Level
-    coefficients are supplied internally: excited for the anchoring box's
-    atom, ground otherwise.
+    terminal symbol (a detector's input or a box marker); its coefficient
+    scales the terminal's kept wave (``confirmation_wave``), so no walk runs
+    here.  ``atom_bras`` maps each atom-spin subsystem to the spin component
+    of the confirmation wave (defaults to the blocking spin for the atom of
+    an anchoring box); each photon source's row of the wave is contracted
+    with their tensor product.  Level coefficients are implied: excited for
+    the anchoring box's atom, ground otherwise.
 
     ``ow_amplitudes`` optionally overrides, per emitter id, the offer-wave
     amplitude the anchoring absorber saw, used only for the bookkeeping view
     in ``emitter_amplitudes``; it defaults to the modulus of the backward
     sector amplitude, which equals the arriving offer-wave modulus.
     """
-    _require_valid(network)
+    plan = network._plan
     atom_bras = dict(atom_bras or {})
     ow_amplitudes = dict(ow_amplitudes or {})
 
-    photon = network.photon
-    if confirmation.space != (photon,):
+    if confirmation.space != network.subsystems[:1]:
         raise ContractError("confirmation bra must live on the photon subsystem alone")
-    support = [label[0] for label, _ in confirmation.items()]
-    if len(support) != 1:
+    if len(confirmation) != 1:
         raise ContractError("confirmation bra must be anchored at exactly one symbol")
-    anchor_symbol = support[0]
-    terminals = network.terminal_symbols()
-    if anchor_symbol not in terminals:
+    ((anchor_symbol,), coefficient), = confirmation.terms.items()
+    terminal = plan.terminals.get(anchor_symbol)
+    if terminal is None:
         raise ContractError(f"confirmation anchored at non-terminal symbol {anchor_symbol!r}")
-    anchor_box = next((b for b in network.boxes() if b.marker == anchor_symbol), None)
+    anchor_box = plan.boxes.get(terminal)
+    unknown = atom_bras.keys() - plan.atoms.keys()
+    if unknown:
+        raise StructuralError(f"confirmation bras for unknown atoms {sorted(unknown)}")
 
-    # assemble the joint anchor bra in declaration order
-    factors = [confirmation]
-    for spec in network.subsystems[1:]:
-        if spec.kind == "atom-spin":
-            spin = atom_bras.get(spec.id)
-            if spin is None:
-                if anchor_box is not None and anchor_box.atom == spec.id:
-                    spin = unit((spec,), (anchor_box.blocking,), bra=True)
-                else:
-                    raise ContractError(f"no confirmation bra supplied for atom {spec.id!r}")
-            if spin.space != (spec,):
-                raise StructuralError(f"confirmation bra for {spec.id!r} is on the wrong space")
-            factors.append(spin)
-            atom_bras[spec.id] = spin
-        elif spec.kind == "atom-level":
-            ground, excited = spec.basis
-            sym = excited if (anchor_box is not None and anchor_box.level == spec.id) else ground
-            factors.append(unit((spec,), (sym,), bra=True))
-    joint = tensor(*factors)
-    if joint.space != network.subsystems:
-        raise StructuralError("anchor does not cover the declared subsystem order")
-
-    joint = _walk_back(network, joint)
+    # each atom's bra as a vector over its spin basis
+    vectors = []
+    for spec in (network.subsystems[i] for i in plan.atoms.values()):
+        spin = atom_bras.get(spec.id)
+        if spin is None:
+            if anchor_box is not None and anchor_box.atom == spec.id:
+                spin = unit((spec,), (anchor_box.blocking,), bra=True)
+            else:
+                raise ContractError(f"no confirmation bra supplied for atom {spec.id!r}")
+        if spin.space != (spec,):
+            raise StructuralError(f"confirmation bra for {spec.id!r} is on the wrong space")
+        atom_bras[spec.id] = spin
+        vectors.append(np.zeros(len(spec.basis), dtype=complex))
+        vectors[-1][spin._codes] = spin._amps
 
     # per-sector amplitudes at the sources
     sector: dict[str, complex] = {}
     atom_product = 1.0 + 0j
-    photon_emitters = network.photon_emitters()
-    for e in network.emitters():
-        if e in photon_emitters:
-            continue
+    for e in plan.atom_sources:
         spin_spec, *level = e.state.space
         ground = tuple(spec.basis[0] for spec in level)  # the box relabel restores it before the source
         a_k = sum(b * e.state.amplitude((s, *ground)) for (s,), b in atom_bras[spin_spec.id].terms.items())
@@ -663,28 +667,22 @@ def backward_propagate(
         atom_product *= a_k
 
     # the photon sources add coherently: the joint amplitude is the sum of their couplings
-    atom_states = [e.state for e in _atom_sources(network)]
-    couplings = [_contract(joint, [e.state, *atom_states]) for e in photon_emitters]
+    _, wave = confirmation_wave(network, terminal)
+    spins = reduce(np.multiply.outer, vectors, np.ones(())).ravel()  # first atom outermost, as W is laid out
+    couplings = [coefficient * z for z in (wave @ spins).tolist()]
     a_total = sum(couplings)
-    for e, s_e in zip(photon_emitters, couplings):
+    for e, s_e in zip(plan.photon_sources, couplings):
         sector[e.id] = s_e / atom_product if abs(atom_product) > 0 else 0j
 
-    emitter_amplitudes = {
-        eid: ow_amplitudes.get(eid, abs(a)) * abs(a) for eid, a in sector.items()
-    }
-    group = tuple(e.id for e in photon_emitters)
-    group_sum = sum(sector[eid] for eid in group)
+    emitter_amplitudes = {eid: ow_amplitudes.get(eid, abs(a)) * abs(a) for eid, a in sector.items()}
+    group = tuple(e.id for e in plan.photon_sources)
     if len(group) == 1 and group[0] in ow_amplitudes:
         group_ow = float(ow_amplitudes[group[0]])
     else:
-        group_ow = abs(group_sum)
+        group_ow = abs(sum(sector[eid] for eid in group))
     return EchoReport(
-        emitter_amplitudes=emitter_amplitudes,
-        sector_amplitudes=sector,
-        photon_group=group,
-        photon_group_ow=group_ow,
-        amplitude=a_total,
-        weight=abs(a_total) ** 2,
+        emitter_amplitudes=emitter_amplitudes, sector_amplitudes=sector, photon_group=group,
+        photon_group_ow=group_ow, amplitude=a_total, weight=abs(a_total) ** 2,
     )
 
 

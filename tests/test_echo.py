@@ -2,16 +2,20 @@
 read against each outcome's atom bras, and never against the offer wave."""
 
 import dataclasses
+import math
 import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tisim as t
 import tisim.network as network_module
-from tisim.engine import AtomBasis, MeasurementContext, Outcome
-from tisim.errors import ContractError
+from netgen import qle_with_mirror, random_network
+from tisim.engine import AtomBasis, MeasurementContext, Outcome, _bras
+from tisim.errors import ContractError, StructuralError
+from tisim.network import BeamSplitter, Mirror, confirmation_wave
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 from cascade import cascade  # noqa: E402
@@ -52,6 +56,20 @@ def test_echo_rejects_malformed_outcomes(qle):
     assert abs(t.echo_weight(qle, Outcome("D", both), z) - 1.0 / 16.0) < TOL
 
 
+def test_echo_rejects_contexts_naming_unknown_atoms(qle):
+    outcome, context = Outcome("D", (("atom1", "+"), ("atom2", "+"))), MeasurementContext({"nope": AtomBasis.y()})
+    for ask in (t.enumerate_transactions, lambda net, ctx: t.echo_weight(net, outcome, ctx)):
+        with pytest.raises(StructuralError, match="unknown atoms"):
+            ask(qle, context)
+
+
+def test_backward_propagate_rejects_bras_for_unknown_atoms(qle):
+    bras = {a.id: t.unit((a,), ("+",), bra=True) for a in qle.atoms()}
+    bras["ghost"] = t.unit((t.SubsystemSpec("ghost", "atom-spin", ("+", "-")),), ("+",), bra=True)
+    with pytest.raises(StructuralError, match="ghost"):
+        t.backward_propagate(qle, t.unit((qle.photon,), ("d",), bra=True), bras)
+
+
 def test_echo_reads_no_offer_wave(monkeypatch, hardy, qle):
     nets = (hardy, qle, t.two_laser_variant(qle), cascade(4, 0))
     tables = [born_tables(net) for net in nets]
@@ -79,11 +97,54 @@ def test_each_terminal_walks_back_once(monkeypatch, qle):
             t.echo_weight(echoed, c.outcome, ctx)
     terminals = {c.outcome.photon for _, candidates in tables for c in candidates}
     assert len(walks) == len(terminals) == 4
-    # backward_propagate anchors its own bras and walks them through the same helper
     spins = {a.id: t.unit((a,), ("+",), bra=True) for a in qle.atoms()}
     report = t.backward_propagate(echoed, t.unit((qle.photon,), ("d",), bra=True), spins)
-    assert len(walks) == 5
+    assert len(walks) == 4
     assert abs(report.weight - t.echo_weight(echoed, Outcome("D", (("atom1", "+"), ("atom2", "+"))), t.z_context(qle))) < TOL
+
+
+def test_each_element_map_is_built_once(monkeypatch):
+    net = t.network_from_dict(qle_with_mirror(0.0, 1.0))
+    calls = []
+    for cls in (BeamSplitter, Mirror):
+        monkeypatch.setattr(cls, "forward_map", lambda self, real=cls.forward_map: calls.append(self.id) or real(self))
+    assert net._offer_wave.absorbed
+    for terminal in net.terminal_symbols().values():
+        confirmation_wave(net, terminal)
+    spins = {a.id: t.unit((a,), ("-",), bra=True) for a in net.atoms()}
+    for symbol in ("A", "B", "c", "d"):
+        t.backward_propagate(net, t.unit((net.photon,), (symbol,), bra=True), spins)
+    assert sorted(calls) == ["M", "S1", "S2"]
+
+
+def atom_bra(spec, basis, symbol):
+    """The bra of an atom read as ``symbol`` in ``basis``: the row ``echo_weight`` reads."""
+    row = _bras(basis, len(spec.basis))[basis.symbols(spec).index(symbol)]
+    return t.Bra((spec,), {(z,): b for z, b in zip(spec.basis, row)})
+
+
+def test_backward_propagate_reads_superposed_bras_and_scaled_anchors(hardy, qle, bomb_present):
+    rng = np.random.default_rng(31)
+    nets = [hardy, qle, bomb_present, t.two_laser_variant(qle)] + [random_network(rng, i) for i in range(20)]
+    bloch = AtomBasis.bloch(math.radians(30), math.radians(40))  # the CLI's bloch:30,40
+    for net in nets:
+        terminals = {eid: sym for sym, eid in net.terminal_symbols().items()}
+        if all(len(a.basis) == 2 for a in net.atoms()):
+            ctxs = (t.y_context(net), MeasurementContext({a.id: bloch for a in net.atoms()}))
+        else:  # a one-symbol atom has no basis to rotate
+            ctxs = (t.z_context(net),)
+        for ctx in ctxs:
+            for c in t.enumerate_transactions(net, ctx).candidates:
+                readings = dict(c.outcome.atoms)
+                bases = {a.id: AtomBasis.z() if a.id == c.outcome.excited else ctx.basis_for(a.id) for a in net.atoms()}
+                bras = {a.id: atom_bra(a, bases[a.id], readings[a.id]) for a in net.atoms()}
+                echo = t.echo_weight(net, c.outcome, ctx)
+                symbol = terminals[c.outcome.photon]
+                first = t.backward_propagate(net, t.unit((net.photon,), (symbol,), bra=True), bras)
+                for coeff in (1.0, 2.0, 0.3 - 1.1j):
+                    report = t.backward_propagate(net, t.unit((net.photon,), (symbol,), coeff, bra=True), bras)
+                    assert abs(report.weight - abs(coeff) ** 2 * echo) <= TOL, (net.name, c.outcome, coeff)
+                    assert abs(report.amplitude - coeff * first.amplitude) <= TOL, (net.name, c.outcome, coeff)
 
 
 def test_echoes_on_two_threads_match_serial(qle):

@@ -143,7 +143,7 @@ def test_qle_forward_amplitudes_and_absorbed_masses(qle):
 def test_hardy_state_after_first_splitter(hardy):
     # joint state right after the first splitter: (1/2)[i|u> + |v>][|+> + |->]
     s1 = hardy.element("S1").forward_map()
-    state = _apply_symbol_map(emitted_state(hardy), hardy.photon_index, s1)
+    state = _apply_symbol_map(emitted_state(hardy), 0, s1)  # a valid network declares the photon first
     assert abs(state.amplitude(("u", "+", "0")) - 0.5j) < 1e-12
     assert abs(state.amplitude(("v", "+", "0")) - 0.5) < 1e-12
     assert abs(state.amplitude(("u", "-", "0")) - 0.5j) < 1e-12
