@@ -20,14 +20,15 @@ import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from . import rng
 from .amplitudes import (
+    TOL,
     Ket,
     Space,
     SubsystemSpec,
@@ -149,8 +150,7 @@ class Outcome:
         return (self.photon, tuple(sym for _, sym in self.atoms))
 
 
-@dataclass(frozen=True)
-class TransactionCandidate:
+class TransactionCandidate(NamedTuple):
     outcome: Outcome
     weight: float
     amplitude: complex
@@ -190,13 +190,6 @@ class OutcomeDistribution:
         return float(sum(c.weight for c in self.candidates if c.outcome.excited is not None))
 
 
-def _canonical(candidates: Iterable[TransactionCandidate]) -> tuple[TransactionCandidate, ...]:
-    """Stage candidate lists merged in canonical order: each list is canonical
-    and no photon name spans two stages, so sorting (stably) on the photon name
-    gives the order of the full ``Outcome.sort_key``."""
-    return tuple(sorted(candidates, key=lambda c: c.outcome.photon))
-
-
 def _rebase_atoms(
     state: Ket,
     network: Network,
@@ -211,14 +204,6 @@ def _rebase_atoms(
         if m is not None:
             state = rebase(state, atom.id, m, basis.symbols(atom))
     return state
-
-
-def _context_atom_space(network: Network, context: MeasurementContext) -> Space:
-    specs = []
-    for atom in network.atoms():
-        basis = context.basis_for(atom.id)
-        specs.append(SubsystemSpec(atom.id, atom.kind, basis.symbols(atom)))
-    return tuple(specs)
 
 
 def _candidates_from_ket(
@@ -241,7 +226,13 @@ def _candidates_from_ket(
     excited = itertools.repeat(excited_box.atom if excited_box is not None else None)
     atoms = _atom_readings(codec, slots, symbols, [d[order] for d in digits])
     outcomes = map(Outcome, symbols[0][digits[0][order]].tolist(), atoms, excited)
-    return tuple(map(TransactionCandidate, outcomes, weights, state._amps[order].tolist()))
+    return _candidates(outcomes, weights, state._amps[order].tolist())
+
+
+def _candidates(outcomes, weights, amplitudes) -> tuple[TransactionCandidate, ...]:
+    """Candidates built from columns; ``tuple.__new__`` skips the class's Python-level
+    ``__new__``, which took twice as long on 7,424 candidates in a timing loop."""
+    return tuple(map(tuple.__new__, itertools.repeat(TransactionCandidate), zip(outcomes, weights, amplitudes)))
 
 
 # from this many terms on, candidates share atom tuples: in a timing loop over
@@ -299,18 +290,33 @@ def _atom_bases(network: Network, context: MeasurementContext) -> tuple[AtomBasi
     return tuple(context.basis_for(atom) for atom in atoms)
 
 
-def _hierarchy_stages(network: Network, context: MeasurementContext):
+class _StageTable(NamedTuple):
+    """What a network keeps per context; see ``_hierarchy_stages``."""
+
+    stages: tuple[tuple[float, tuple[TransactionCandidate, ...]], ...]  # per box: (p_absorb, candidates)
+    final: tuple[TransactionCandidate, ...]  # the candidates of the wave that passes every box
+    flat: tuple[TransactionCandidate, ...]  # all of them, in canonical order
+    stage_of: np.ndarray  # per flat candidate: its stage, len(stages) for the final ones
+    born: np.ndarray  # per flat candidate: its weight
+    masses: tuple[float, ...]  # per stage, then the final: its weights' ``sum``
+    atom_space: Space  # the atoms' specs in the context's bases
+    outcomes: tuple[Outcome, ...]  # per flat candidate
+    amplitudes: tuple[complex, ...]  # per flat candidate
+
+
+def _hierarchy_stages(network: Network, context: MeasurementContext) -> _StageTable:
     """The stage table every enumeration, resolver and sampler works from.
 
     The network's one offer wave (``Network._offer_wave``), split at the
-    boxes, rebased into the context.
-    Returns ``(stages, final)``: per box in rank order, the probability that
-    it absorbs a photon reaching it (absorbed mass over the mass entering the
-    box) paired with its candidates; then the candidates of the wave that
-    passes every box.  Candidates are in canonical order and carry their
-    unconditioned Born weights.  The network keeps up to ``STAGE_TABLES``
-    tables, keyed by the atoms' bases: a miss inserts one and evicts the
-    oldest-inserted beyond the bound, a hit changes nothing.
+    boxes, rebased into the context: per box in rank order, the probability
+    that it absorbs a photon reaching it (absorbed mass over the mass entering
+    the box) and its candidates; then the candidates of the wave that passes
+    every box.  Each list is in canonical order with unconditioned Born
+    weights; no photon name spans two lists, so a stable sort on the photon
+    name merges them into ``flat``, also canonical.  Weights that do not total
+    1 within ``TOL`` are a ``ContractError``.  The network keeps up to
+    ``STAGE_TABLES`` tables, keyed by the atoms' bases: a miss inserts one and
+    evicts the oldest-inserted beyond the bound, a hit changes nothing.
     """
     key = _atom_bases(network, context)
     table = network._stage_tables.get(key)
@@ -320,7 +326,19 @@ def _hierarchy_stages(network: Network, context: MeasurementContext):
         final = _stage_candidates(network, context, None, trace.continuing)
         boxes = network._plan.boxes
         absorbed = zip(trace.box_fractions, trace.absorbed)
-        table = tuple((p, _stage_candidates(network, context, boxes[b], ket)) for p, (b, ket) in absorbed), final
+        stages = tuple((p, _stage_candidates(network, context, boxes[b], ket)) for p, (b, ket) in absorbed)
+        groups = (*(cands for _, cands in stages), final)
+        pool = list(itertools.chain(*groups))
+        order = sorted(range(len(pool)), key=[c.outcome.photon for c in pool].__getitem__)
+        flat = tuple(map(pool.__getitem__, order))
+        outcomes, born, amplitudes = zip(*flat)
+        drift = math.fsum(born) - 1.0
+        if not abs(drift) <= TOL:
+            raise ContractError(f"network {network.name!r}: total weight drifts from 1 by {drift!r}")
+        stage_of = np.repeat(np.arange(len(groups)), [len(g) for g in groups])[order]
+        masses = tuple(sum(c.weight for c in g) for g in groups)
+        atom_space = tuple(SubsystemSpec(a.id, a.kind, b.symbols(a)) for a, b in zip(network.atoms(), key))
+        table = _StageTable(stages, final, flat, stage_of, np.array(born), masses, atom_space, outcomes, amplitudes)
         tables = network._stage_tables
         tables[key] = table
         # list() copies the keys in one step, so a racing insert cannot break the walk; each
@@ -335,21 +353,10 @@ def _stage_candidates(network: Network, context: MeasurementContext, box: AtomBo
     return _candidates_from_ket(rebased, network, excited_box=box)
 
 
-def _flat(network: Network, context: MeasurementContext, stages, final) -> OutcomeDistribution:
-    """The stage table read as one flat distribution over every terminal outcome."""
-    candidates = list(final)
-    for _, inner_cands in stages:
-        candidates.extend(inner_cands)
-    return OutcomeDistribution(
-        candidates=_canonical(candidates),
-        provenance="flat",
-        atom_space=_context_atom_space(network, context),
-    )
-
-
 def enumerate_transactions(network: Network, context: MeasurementContext) -> OutcomeDistribution:
     """Flat enumeration over the joint outcome space with Born weights."""
-    return _flat(network, context, *_hierarchy_stages(network, context))
+    table = _hierarchy_stages(network, context)
+    return OutcomeDistribution(table.flat, "flat", table.atom_space)
 
 
 def hierarchical_distribution(network: Network, context: MeasurementContext) -> OutcomeDistribution:
@@ -358,27 +365,26 @@ def hierarchical_distribution(network: Network, context: MeasurementContext) -> 
     At each box the local absorption probability is the absorbed mass over
     the remaining mass; a component's weight is the probability of reaching
     its box, times the box's probability, times the component's share of the
-    absorbed mass.  The resulting distribution matches the flat one.
+    absorbed mass.  The resulting distribution matches the flat one.  A box
+    that never absorbs, and a final wave of no mass, contribute no candidates.
     """
-    stages, final = _hierarchy_stages(network, context)
-    survival = 1.0
-    candidates: list[TransactionCandidate] = []
-    for p_here, inner_cands in stages:
-        if p_here <= 0.0:
-            continue
-        mass = sum(c.weight for c in inner_cands)
-        for c in inner_cands:
-            candidates.append(TransactionCandidate(c.outcome, survival * p_here * (c.weight / mass), c.amplitude))
-        survival *= 1.0 - p_here
-    final_mass = sum(c.weight for c in final)
-    if final_mass > 0.0:
-        for c in final:
-            candidates.append(TransactionCandidate(c.outcome, survival * (c.weight / final_mass), c.amplitude))
-    return OutcomeDistribution(
-        candidates=_canonical(candidates),
-        provenance="hierarchical",
-        atom_space=_context_atom_space(network, context),
-    )
+    table = _hierarchy_stages(network, context)
+    survival, factors, keeps = 1.0, [], []
+    for p_here, _ in table.stages:
+        keeps.append(p_here > 0.0)
+        factors.append(survival * p_here)
+        if keeps[-1]:
+            survival *= 1.0 - p_here
+    factors.append(survival)
+    keeps.append(table.masses[-1] > 0.0)
+    # survival * p_here * (weight / mass) per candidate, as in Python floats; a dropped stage divides by 1
+    at = table.stage_of
+    masses = np.array([m if keep else 1.0 for m, keep in zip(table.masses, keeps)])
+    weights = (np.array(factors)[at] * (table.born / masses[at])).tolist()
+    candidates = _candidates(table.outcomes, weights, table.amplitudes)
+    if not all(keeps):
+        candidates = tuple(itertools.compress(candidates, np.array(keeps)[at].tolist()))
+    return OutcomeDistribution(candidates, "hierarchical", table.atom_space)
 
 
 # -- confirmation-wave (echo) weights ------------------------------------------
@@ -477,8 +483,9 @@ def _draws(stages, final, seed: int, lo: int, n: int):
 
     Stage k draws on lane 1 + k for the trials still alive and fires where
     ``u < p_here``; the survivors draw on lane 0, as the flat resolver does.
-    Yields ``(candidates, uniforms)`` per stage that fires (uniforms rescaled
-    to ``u / p_here``) and then for the survivors.
+    Yields ``(k, candidates, uniforms)`` per stage k that fires (uniforms
+    rescaled to ``u / p_here``) and then for the survivors, as stage
+    ``len(stages)``.
     """
     alive = np.arange(n, dtype=np.int64)
     for k, (p_here, inner_cands) in enumerate(stages):
@@ -488,13 +495,13 @@ def _draws(stages, final, seed: int, lo: int, n: int):
         fired = u < p_here
         alive, u = alive[~fired], u[fired] / p_here  # the stage's full arrays go before the caller counts
         if u.size:
-            yield inner_cands, u
+            yield k, inner_cands, u
     if alive.size:
-        yield final, rng.uniforms(seed, LANE_OUTCOME, lo, n)[alive]
+        yield len(stages), final, rng.uniforms(seed, LANE_OUTCOME, lo, n)[alive]
 
 
 def _resolve(stages, final, seed: int, trial: int) -> Outcome:
-    candidates, u = next(_draws(stages, final, seed, trial, 1))  # one trial: one draw
+    _, candidates, u = next(_draws(stages, final, seed, trial, 1))  # one trial: one draw
     return candidates[int(_pick(candidates, u[0]))].outcome
 
 
@@ -522,7 +529,8 @@ def resolve_hierarchical(
     the same stream the flat resolver uses, so absorber-free networks resolve
     identically to ``resolve_flat`` trial by trial.
     """
-    return _resolve(*_hierarchy_stages(network, context), seed, trial)
+    table = _hierarchy_stages(network, context)
+    return _resolve(table.stages, table.final, seed, trial)
 
 
 def sample_hierarchical(
@@ -532,15 +540,14 @@ def sample_hierarchical(
     with the flat candidates."""
     if trials < 1:
         raise UsageError("trials must be >= 1")
-    stages, final = _hierarchy_stages(network, context)
-    flat = _flat(network, context, stages, final)
-    index_of = {c.outcome: i for i, c in enumerate(flat.candidates)}
-    counts = np.zeros(len(flat.candidates), dtype=np.int64)
+    table = _hierarchy_stages(network, context)
+    where = [np.flatnonzero(table.stage_of == k) for k in range(len(table.stages) + 1)]  # in each stage's order
+    counts = np.zeros(len(table.flat), dtype=np.int64)
     for lo in _chunks(0, trials):
-        for cands, u in _draws(stages, final, seed, lo, min(CHUNK, trials - lo)):
-            np.add.at(counts, [index_of[c.outcome] for c in cands], _count(_cut(cands), u))
-    return replace(
-        flat, provenance="hierarchical", seed=seed, trials=trials, counts=tuple(int(c) for c in counts)
+        for k, cands, u in _draws(table.stages, table.final, seed, lo, min(CHUNK, trials - lo)):
+            counts[where[k]] += _count(_cut(cands), u)
+    return OutcomeDistribution(
+        table.flat, "hierarchical", table.atom_space, seed=seed, trials=trials, counts=tuple(counts.tolist())
     )
 
 
@@ -569,7 +576,7 @@ def post_select(
     scale = math.sqrt(total)
     conditional = OutcomeDistribution(
         candidates=tuple(
-            replace(c, weight=c.weight / total, amplitude=c.amplitude / scale) for c in selected
+            c._replace(weight=c.weight / total, amplitude=c.amplitude / scale) for c in selected
         ),
         provenance=dist.provenance,
         atom_space=dist.atom_space,

@@ -356,6 +356,13 @@ def validate(network: Network) -> list[Diagnostic]:
     for spec in network.subsystems:
         if spec.id not in covered:
             add_diag(None, "emitter-coverage", f"subsystem {spec.id!r} has no emitter")
+    # each emitter's subsystems lie side by side in declared order, so the sources' product is the declared space
+    declared = [s.id for s in network.subsystems]
+    for e in network.emitters():
+        ids = [spec.id for spec in e.state.space]
+        start = declared.index(ids[0]) if ids and ids[0] in declared else -1
+        if declared[start : start + len(ids)] != ids:
+            add_diag(e.id, "emitter-order", f"emits {ids}, not side by side in the declared order {declared}")
     n_photon_src = len(network.photon_emitters())
     allowed = 2 if network.two_source else 1
     if n_photon_src != allowed:

@@ -304,7 +304,7 @@ def _run(scenario: Scenario, trials: int | None = None, seed: int | None = None,
         else:
             counts = sample_flat(reported, trials, seed, workers=workers).tolist()
             # observed frequencies stand in for the weights, so the marginals are sampled ones
-            cands = tuple(replace(c, weight=k / trials) for c, k in zip(cands, counts))
+            cands = tuple(c._replace(weight=k / trials) for c, k in zip(cands, counts))
             reported = replace(reported, candidates=cands)
         outcomes = [
             {"outcome": c.outcome.label, "count": k, "probability": c.weight} for c, k in zip(cands, counts)

@@ -137,3 +137,14 @@ def hardy_emitting_excited_levels() -> Network:
     state = Ket((spin, level), {("+", "g"): 0.5, ("-", "g"): 0.5, ("+", "e"): 0.5j, ("-", "e"): -0.5})
     elements = tuple(Emitter(e.id, e.rank, state) if e.id == "atom1-source" else e for e in hardy.elements)
     return dataclasses.replace(hardy, subsystems=(photon, spin, level), elements=elements)
+
+
+def qle_emitting_level_first() -> Network:
+    """qle whose ``atom1-source`` lists its subsystems as ``(atom1-level, atom1)``,
+    against their declared order ``(atom1, atom1-level)``."""
+    qle = qle_network()
+    source = qle.element("atom1-source")
+    spin, level = source.state.space
+    state = Ket((level, spin), {(g, s): amp for (s, g), amp in source.state.items()})
+    elements = tuple(Emitter(e.id, e.rank, state) if e is source else e for e in qle.elements)
+    return dataclasses.replace(qle, elements=elements)

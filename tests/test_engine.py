@@ -237,7 +237,8 @@ def test_streamed_counts_equal_one_shot_reference():
 def test_sample_hierarchical_streams_in_chunks(qle):
     trials, seed = 2 * CHUNK + 7, 41
     for ctx in (t.z_context(qle), t.y_context(qle)):
-        stages, final = _hierarchy_stages(qle, ctx)
+        table = _hierarchy_stages(qle, ctx)
+        stages, final = table.stages, table.final
         flat = t.enumerate_transactions(qle, ctx)
         index_of = {c.outcome: i for i, c in enumerate(flat.candidates)}
         expected = np.zeros(len(flat.candidates), dtype=np.int64)
@@ -260,7 +261,8 @@ def test_sample_hierarchical_streams_in_chunks(qle):
 
 def test_hierarchy_stage_probabilities(hardy):
     ctx = t.z_context(hardy)
-    stages, final = _hierarchy_stages(hardy, ctx)
+    table = _hierarchy_stages(hardy, ctx)
+    stages, final = table.stages, table.final
     assert len(stages) == 1
     p_absorb, _ = stages[0]
     assert abs(p_absorb - 0.25) < 1e-12

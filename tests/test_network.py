@@ -10,7 +10,7 @@ import tisim as t
 from tisim.amplitudes import SubsystemSpec, _apply_symbol_map, scale, unit
 from tisim.errors import ContractError, ValidationError
 from tisim.network import AtomBox, BeamSplitter, Detector, Emitter, Network, _ket_to_json, _parse_network, emitted_state
-from netgen import hardy_emitting_excited_levels, qle_with_mirror, qle_with_three_outputs, random_network
+from netgen import hardy_emitting_excited_levels, qle_emitting_level_first, qle_with_mirror, qle_with_three_outputs, random_network
 
 RT2 = math.sqrt(2.0)
 R = 1.0 / (2.0 * RT2)
@@ -390,6 +390,20 @@ def test_emitter_norm_is_checked(tmp_path, qle):
 def test_atom_levels_are_emitted_in_their_ground_symbol():
     excited = hardy_emitting_excited_levels()
     assert [(d.element, d.rule) for d in t.validate(excited)] == [("atom1-source", "emitter-level")]
+
+
+def test_emitters_list_their_subsystems_in_declared_order(qle):
+    swapped = qle_emitting_level_first()
+    assert [(d.element, d.rule) for d in t.validate(swapped)] == [("atom1-source", "emitter-order")]
+    # the walks refuse it as invalid, rather than failing on the product's order or answering
+    outcome = t.enumerate_transactions(qle, t.z_context(qle)).candidates[0].outcome
+    for call in (
+        lambda: t.enumerate_transactions(swapped, t.z_context(swapped)),
+        lambda: t.echo_weight(swapped, outcome, t.z_context(swapped)),
+        lambda: t.backward_propagate(swapped, t.unit((swapped.photon,), ("d",), bra=True)),
+    ):
+        with pytest.raises(ValidationError, match=r"emitter-order \[atom1-source\]"):
+            call()
 
 
 

@@ -20,7 +20,7 @@ from tisim.scenarios import (
     scenario_names,
     verification_checks,
 )
-from netgen import hardy_emitting_excited_levels, qle_with_mirror, qle_with_three_outputs
+from netgen import hardy_emitting_excited_levels, qle_emitting_level_first, qle_with_mirror, qle_with_three_outputs
 
 RT2 = math.sqrt(2.0)
 
@@ -303,6 +303,7 @@ def with_foreign_filter() -> dict:
         (qle_with_three_outputs, "splitter-arity [S2]"),
         (with_foreign_filter, "emitter 'atom1-source': a filter must be the dual"),
         (lambda: t.network_to_dict(hardy_emitting_excited_levels()), "emitter-level [atom1-source]"),
+        (lambda: t.network_to_dict(qle_emitting_level_first()), "emitter-order [atom1-source]"),
     ],
 )
 @pytest.mark.parametrize("command", [["run", "qle", "--exact"], ["run", "qle", "--trials", "100"]])

@@ -1,17 +1,26 @@
 """The stage table each network keeps, and the draw loop that reads it."""
 
+import dataclasses
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 import tisim as t
 from tisim import engine
 from tisim import network as network_module
+from tisim.amplitudes import SubsystemSpec, scale
 from tisim.engine import AtomBasis, ChshSettings, MeasurementContext
+from tisim.errors import ContractError
+from tisim.network import AtomBox, Detector, Emitter, Network, PropagationTrace
 from tisim.rng import uniform
 from netgen import random_network
 from test_engine import hardy_with_second_box
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+from cascade import cascade  # noqa: E402
 
 TRIALS = (*range(200), 2**40 + 3)
 
@@ -228,3 +237,90 @@ def test_threads_over_more_contexts_than_tables_see_their_own():
     assert errors == []
     assert got == expected
     assert 1 <= len(shared._stage_tables) <= engine.STAGE_TABLES
+
+
+# -- the flat table the distributions read ---------------------------------------------
+
+
+def loop_hierarchical(net, ctx):
+    """The chain rule candidate by candidate over the table's stage lists,
+    merged by a stable sort on the photon name: the reference for the flat path."""
+    table = engine._hierarchy_stages(net, ctx)
+    survival, candidates = 1.0, []
+    for p_here, inner in table.stages:
+        if p_here <= 0.0:
+            continue
+        mass = sum(c.weight for c in inner)
+        for c in inner:
+            candidates.append((c.outcome, survival * p_here * (c.weight / mass), c.amplitude))
+        survival *= 1.0 - p_here
+    final_mass = sum(c.weight for c in table.final)
+    if final_mass > 0.0:
+        for c in table.final:
+            candidates.append((c.outcome, survival * (c.weight / final_mass), c.amplitude))
+    return [(o, w.hex(), a) for o, w, a in sorted(candidates, key=lambda c: c[0].photon)]
+
+
+def single_spin(net, atom, symbol):
+    """``net`` with ``atom`` emitted in its spin ``symbol`` alone, ground level."""
+    elements = []
+    for e in net.elements:
+        if isinstance(e, Emitter) and e.state.space[0].id == atom:
+            e = Emitter(e.id, e.rank, t.unit(e.state.space, (symbol, e.state.space[1].basis[0])))
+        elements.append(e)
+    return dataclasses.replace(net, name=f"{net.name}-{atom}-{symbol}", elements=tuple(elements))
+
+
+def absorbing_everything():
+    """A photon on ``s`` meets a box whose atom always blocks it: the final wave has no mass."""
+    photon = SubsystemSpec("photon", "photon-path", ("s", "box"))
+    spin, level = SubsystemSpec("atom", "atom-spin", ("+", "-")), SubsystemSpec("atom-level", "atom-level", ("0", "1"))
+    return Network(
+        "absorbing-everything",
+        (photon, spin, level),
+        (
+            Emitter("L", 0, t.unit((photon,), ("s",))),
+            Emitter("atom-source", 0, t.unit((spin, level), ("+", "0"))),
+            AtomBox("box", 1, "atom", "+", "s", "atom-level"),
+            Detector("D", 2, "s"),
+        ),
+    )
+
+
+def test_hierarchical_weights_match_the_per_candidate_loop_bit_for_bit():
+    qle = t.qle_network()
+    never, dark = single_spin(qle, "atom1", "-"), absorbing_everything()  # box A blocks "+": it never absorbs
+    nets = [qle, t.hardy_network(), t.ev_bomb_network(True), t.ev_bomb_network(False), t.two_laser_variant(qle)]
+    nets += [never, dark, *(cascade(k, 3) for k in range(1, 10))]
+    rng = np.random.default_rng(4142)
+    nets += [random_network(rng, index) for index in range(60)]
+    assert engine._hierarchy_stages(never, t.z_context(never)).stages[0][0] == 0.0
+    assert engine._hierarchy_stages(dark, t.z_context(dark)).masses[-1] == 0.0
+    for net in nets:
+        two_level = all(len(a.basis) == 2 for a in net.atoms())
+        contexts = [t.z_context(net)]
+        contexts += [t.y_context(net), bloch(net, 0.7, 1.3), bloch(net, 2.2, -0.4)] if two_level else []
+        for ctx in contexts:
+            hier = t.hierarchical_distribution(net, ctx).candidates
+            assert [(c.outcome, c.weight.hex(), c.amplitude) for c in hier] == loop_hierarchical(net, ctx), net.name
+            flat = t.enumerate_transactions(net, ctx)
+            assert t.enumerate_transactions(net, ctx).candidates is flat.candidates
+
+
+def test_a_table_whose_weights_do_not_total_one_is_refused(monkeypatch):
+    net = t.qle_network()
+    wave = net._offer_wave
+    louder = PropagationTrace(
+        scale(1.01, wave.continuing), tuple((b, scale(1.01, k)) for b, k in wave.absorbed), wave.box_fractions
+    )
+    monkeypatch.setitem(net.__dict__, "_offer_wave", louder)
+    for call in (
+        lambda ctx: t.enumerate_transactions(net, ctx),
+        lambda ctx: t.hierarchical_distribution(net, ctx),
+        lambda ctx: t.resolve_hierarchical(net, ctx, 1, 0),
+        lambda ctx: t.sample_hierarchical(net, ctx, 10, 1),
+    ):
+        for ctx in (t.z_context(net), t.y_context(net)):
+            with pytest.raises(ContractError, match=r"network 'qle'.* drifts from 1 by 0\.020"):
+                call(ctx)
+    assert net._stage_tables == {}
