@@ -21,7 +21,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -36,7 +36,7 @@ from .amplitudes import (
     rebase,
 )
 from .errors import ContractError, StructuralError, UsageError, ValidationError
-from .network import AtomBox, Network, confirmation_wave
+from .network import AtomBox, Network, _source_couplings, confirmation_wave
 
 LANE_OUTCOME = 0  # final outcome draw; hierarchy stage k draws on lane 1 + k
 CHUNK = 2**20  # trials drawn at a time, so sampling memory does not grow with the trial count
@@ -145,9 +145,6 @@ class Outcome:
             sym + ("*" if atom == self.excited else "") for atom, sym in self.atoms
         )
         return f"{self.photon}|{syms}"
-
-    def sort_key(self):
-        return (self.photon, tuple(sym for _, sym in self.atoms))
 
 
 class TransactionCandidate(NamedTuple):
@@ -291,17 +288,17 @@ def _atom_bases(network: Network, context: MeasurementContext) -> tuple[AtomBasi
 
 
 class _StageTable(NamedTuple):
-    """What a network keeps per context; see ``_hierarchy_stages``."""
+    """What a network keeps per context (see ``_hierarchy_stages``).  A flat distribution is a
+    table with no boxes and one stage at every position (``_flat_table``), in the first three fields."""
 
-    stages: tuple[tuple[float, tuple[TransactionCandidate, ...]], ...]  # per box: (p_absorb, candidates)
-    final: tuple[TransactionCandidate, ...]  # the candidates of the wave that passes every box
-    flat: tuple[TransactionCandidate, ...]  # all of them, in canonical order
-    stage_of: np.ndarray  # per flat candidate: its stage, len(stages) for the final ones
+    fractions: tuple[float, ...]  # per box in rank order: the probability that it absorbs a photon reaching it
+    where: tuple[np.ndarray | slice, ...]  # per box, then the survivors: its candidates' positions in ``flat``
     born: np.ndarray  # per flat candidate: its weight
-    masses: tuple[float, ...]  # per stage, then the final: its weights' ``sum``
-    atom_space: Space  # the atoms' specs in the context's bases
-    outcomes: tuple[Outcome, ...]  # per flat candidate
-    amplitudes: tuple[complex, ...]  # per flat candidate
+    flat: tuple[TransactionCandidate, ...] = ()  # every candidate, in canonical order
+    masses: tuple[float, ...] = ()  # per box, then the survivors: its weights' ``sum``
+    atom_space: Space = ()  # the atoms' specs in the context's bases
+    outcomes: tuple[Outcome, ...] = ()  # per flat candidate
+    amplitudes: tuple[complex, ...] = ()  # per flat candidate
 
 
 def _hierarchy_stages(network: Network, context: MeasurementContext) -> _StageTable:
@@ -311,12 +308,13 @@ def _hierarchy_stages(network: Network, context: MeasurementContext) -> _StageTa
     boxes, rebased into the context: per box in rank order, the probability
     that it absorbs a photon reaching it (absorbed mass over the mass entering
     the box) and its candidates; then the candidates of the wave that passes
-    every box.  Each list is in canonical order with unconditioned Born
-    weights; no photon name spans two lists, so a stable sort on the photon
-    name merges them into ``flat``, also canonical.  Weights that do not total
-    1 within ``TOL`` are a ``ContractError``.  The network keeps up to
-    ``STAGE_TABLES`` tables, keyed by the atoms' bases: a miss inserts one and
-    evicts the oldest-inserted beyond the bound, a hit changes nothing.
+    every box.  Each stage's candidates are in canonical order with
+    unconditioned Born weights; no photon name spans two stages, so a stable
+    sort on the photon name merges them into ``flat``, also canonical, and
+    each stage's positions in ``flat`` rise in its own order.  Weights that do
+    not total 1 within ``TOL`` are a ``ContractError``.  The network keeps up
+    to ``STAGE_TABLES`` tables, keyed by the atoms' bases: a miss inserts one
+    and evicts the oldest-inserted beyond the bound, a hit changes nothing.
     """
     key = _atom_bases(network, context)
     table = network._stage_tables.get(key)
@@ -325,9 +323,7 @@ def _hierarchy_stages(network: Network, context: MeasurementContext) -> _StageTa
         # the final candidates first, so a context the atoms cannot take fails here
         final = _stage_candidates(network, context, None, trace.continuing)
         boxes = network._plan.boxes
-        absorbed = zip(trace.box_fractions, trace.absorbed)
-        stages = tuple((p, _stage_candidates(network, context, boxes[b], ket)) for p, (b, ket) in absorbed)
-        groups = (*(cands for _, cands in stages), final)
+        groups = (*(_stage_candidates(network, context, boxes[b], ket) for b, ket in trace.absorbed), final)
         pool = list(itertools.chain(*groups))
         order = sorted(range(len(pool)), key=[c.outcome.photon for c in pool].__getitem__)
         flat = tuple(map(pool.__getitem__, order))
@@ -335,10 +331,12 @@ def _hierarchy_stages(network: Network, context: MeasurementContext) -> _StageTa
         drift = math.fsum(born) - 1.0
         if not abs(drift) <= TOL:
             raise ContractError(f"network {network.name!r}: total weight drifts from 1 by {drift!r}")
-        stage_of = np.repeat(np.arange(len(groups)), [len(g) for g in groups])[order]
+        at = np.argsort(order)  # each pooled candidate's position in flat
+        ends = itertools.accumulate(map(len, groups))
+        where = tuple(at[end - len(g) : end] for g, end in zip(groups, ends))
         masses = tuple(sum(c.weight for c in g) for g in groups)
         atom_space = tuple(SubsystemSpec(a.id, a.kind, b.symbols(a)) for a, b in zip(network.atoms(), key))
-        table = _StageTable(stages, final, flat, stage_of, np.array(born), masses, atom_space, outcomes, amplitudes)
+        table = _StageTable(trace.box_fractions, where, np.array(born), flat, masses, atom_space, outcomes, amplitudes)
         tables = network._stage_tables
         tables[key] = table
         # list() copies the keys in one step, so a racing insert cannot break the walk; each
@@ -369,18 +367,16 @@ def hierarchical_distribution(network: Network, context: MeasurementContext) -> 
     that never absorbs, and a final wave of no mass, contribute no candidates.
     """
     table = _hierarchy_stages(network, context)
-    survival, factors, keeps = 1.0, [], []
-    for p_here, _ in table.stages:
-        keeps.append(p_here > 0.0)
-        factors.append(survival * p_here)
-        if keeps[-1]:
-            survival *= 1.0 - p_here
-    factors.append(survival)
-    keeps.append(table.masses[-1] > 0.0)
-    # survival * p_here * (weight / mass) per candidate, as in Python floats; a dropped stage divides by 1
-    at = table.stage_of
-    masses = np.array([m if keep else 1.0 for m, keep in zip(table.masses, keeps)])
-    weights = (np.array(factors)[at] * (table.born / masses[at])).tolist()
+    survival, factors, masses, keeps = 1.0, [], [], []
+    at = np.empty(table.born.size, dtype=np.intp)  # each flat candidate's stage
+    for k, (pos, p_here, mass) in enumerate(zip(table.where, (*table.fractions, 1.0), table.masses)):
+        at[pos] = k
+        keeps.append(p_here > 0.0 and mass > 0.0)
+        factors.append(survival * p_here)  # the survivors' p_here is 1, so their factor is survival
+        masses.append(mass if keeps[-1] else 1.0)  # a dropped stage divides by 1
+        survival *= 1.0 - p_here
+    # survival * p_here * (weight / mass) per candidate, as in Python floats
+    weights = (np.array(factors)[at] * (table.born / np.array(masses)[at])).tolist()
     candidates = _candidates(table.outcomes, weights, table.amplitudes)
     if not all(keeps):
         candidates = tuple(itertools.compress(candidates, np.array(keeps)[at].tolist()))
@@ -412,33 +408,27 @@ def echo_weight(network: Network, outcome: Outcome, context: MeasurementContext)
         if symbol not in symbols or len(rows) != len(spec.basis):
             raise ContractError(f"outcome {outcome.label!r}: atom {spec.id!r} cannot read {symbol!r} in {basis.kind}")
         bras.append(rows[symbols.index(symbol)])
-    # the bras' tensor product, first atom outermost, as W is laid out; the photon sources add coherently
-    return abs(sum((wave @ reduce(np.multiply.outer, bras, np.ones(())).ravel()).tolist())) ** 2
+    return abs(sum(_source_couplings(wave, bras))) ** 2
 
 
 # -- resolution (sampling) -----------------------------------------------------
 
 
-def _cut(candidates: Sequence[TransactionCandidate]) -> np.ndarray:
+def _cut(weights: np.ndarray) -> np.ndarray:
     """Normalised cumulative weights: a uniform u selects the first i with u < cut[i]."""
-    cum = np.cumsum(np.asarray([c.weight for c in candidates], dtype=float))
+    cum = np.cumsum(weights)
     if cum.size == 0 or cum[-1] <= 0:
         raise ContractError("cannot sample from an empty distribution")
     return cum / cum[-1]
 
 
-def _pick(candidates: Sequence[TransactionCandidate], u):
-    """Index of the candidate each uniform in ``u`` selects (inverse CDF)."""
-    return np.searchsorted(_cut(candidates), u, side="right")
-
-
 def _count(cut: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Counts per candidate over the uniforms ``u``, under the mapping of ``_pick``.
+    """Counts per candidate over the uniforms ``u``, under the mapping of ``_resolve``.
 
     For few candidates, counting the uniforms at or above each cut point is
     cheaper than a binary search per uniform.  Candidate i gets those at or
     above cut[i-1] but below cut[i], which is searchsorted's side="right", so
-    ties and zero-weight candidates land where ``_pick`` puts them.
+    ties and zero-weight candidates land where ``_resolve`` puts them.
     """
     if cut.size > COMPARE_MAX:
         return np.bincount(np.searchsorted(cut, u, side="right"), minlength=cut.size)
@@ -446,68 +436,80 @@ def _count(cut: np.ndarray, u: np.ndarray) -> np.ndarray:
     return at_or_above[:-1] - at_or_above[1:]
 
 
-def _chunks(start: int, trials: int) -> range:
-    """The first trials of the slices of at most CHUNK trials covering
-    ``start .. start+trials-1``: a range, so slicing it takes no memory."""
-    return range(start, start + trials, CHUNK)
+def _flat_table(dist: OutcomeDistribution) -> _StageTable:
+    """The distribution as a table with no boxes: every candidate in one stage."""
+    return _StageTable((), (slice(None),), np.array([c.weight for c in dist.candidates], dtype=float))
 
 
-def _tally(
-    candidates: Sequence[TransactionCandidate], seed: int, lane: int, start: int, trials: int, workers: int = 1
-) -> np.ndarray:
-    """Counts per candidate over trials ``start .. start+trials-1`` of stream (seed, lane).
+def _draws(fractions: Sequence[float], seed: int, lane: int, lo: int, n: int):
+    """The draw loop of every resolver and sampler, over trials ``lo .. lo+n-1``.
 
-    The CHUNK slices are counted on at most ``min(workers, os.cpu_count(),
+    Box k (absorption probability ``fractions[k]``) draws on lane 1 + k for
+    the trials still alive and fires where ``u < p_here``; the survivors draw
+    on ``lane``.  Yields ``(k, uniforms)`` per box k that fires (uniforms
+    rescaled to ``u / p_here``) and then for the survivors, as stage
+    ``len(fractions)``.  A flat table (no boxes) draws once, with no index.
+    """
+    alive = slice(None)  # every trial, until a box draws
+    for k, p_here in enumerate(fractions):
+        if p_here <= 0.0:
+            continue
+        u = rng.uniforms(seed, 1 + k, lo, n)[alive]
+        fired = u < p_here
+        alive = np.flatnonzero(~fired) if isinstance(alive, slice) else alive[~fired]
+        u = u[fired] / p_here  # the box's full arrays go before the caller counts
+        if u.size:
+            yield k, u
+        if alive.size == 0:
+            return
+    yield len(fractions), rng.uniforms(seed, lane, lo, n)[alive]
+
+
+def _resolve(table: _StageTable, seed: int, lane: int, trial: int) -> tuple[int, int]:
+    """The stage trial ``trial`` resolves in, and its candidate's index among that stage's."""
+    k, u = next(_draws(table.fractions, seed, lane, trial, 1))  # one trial: one draw
+    return k, int(np.searchsorted(_cut(table.born[table.where[k]]), u[0], side="right"))
+
+
+def _tally(table: _StageTable, seed: int, lane: int, start: int, trials: int, workers: int = 1) -> np.ndarray:
+    """Counts per flat candidate over trials ``start .. start+trials-1``; the survivors draw on ``lane``.
+
+    The trials are drawn CHUNK at a time, so memory does not grow with their
+    count.  The chunks are counted on at most ``min(workers, os.cpu_count(),
     chunks)`` threads, inline when that is one; the counts do not depend on it.
     """
+    if trials < 1:
+        raise UsageError("trials must be >= 1")
     if workers < 1:
         raise UsageError("workers must be >= 1")
-    cut = _cut(candidates)
-    chunks, stop = _chunks(start, trials), start + trials
+    chunks, stop = range(start, start + trials, CHUNK), start + trials  # slicing a range takes no memory
     threads = min(workers, os.cpu_count() or 1, len(chunks))
-    zero = np.zeros(cut.size, dtype=np.int64)
+    # The cuts are made here, and a chunk's uniforms go before its counts are summed into a new array: cuts made
+    # in a worker, an in-place sum or the other order left glibc's per-thread heaps holding a second chunk.
+    reach = (*(p > 0.0 for p in table.fractions), all(p < 1.0 for p in table.fractions))  # the stages a trial reaches
+    cuts = [_cut(table.born[pos]) if can else None for pos, can in zip(table.where, reach)]
 
     def count(part: range) -> np.ndarray:
-        return sum((_count(cut, rng.uniforms(seed, lane, lo, min(CHUNK, stop - lo))) for lo in part), zero)
+        counts = np.zeros(table.born.size, dtype=np.int64)
+        for lo in part:
+            for k, u in _draws(table.fractions, seed, lane, lo, min(CHUNK, stop - lo)):
+                drawn = _count(cuts[k], u)
+                del u
+                counts[table.where[k]] = counts[table.where[k]] + drawn
+        return counts
 
     if threads == 1:
         return count(chunks)
     # numpy's Philox fill and comparisons release the GIL, so threads overlap; thread j
     # takes every threads-th chunk from j, so the pending work does not grow with the trials
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return sum(pool.map(count, [chunks[j::threads] for j in range(threads)]), zero)
-
-
-def _draws(stages, final, seed: int, lo: int, n: int):
-    """The draw loop of every resolver and sampler, over trials ``lo .. lo+n-1``.
-
-    Stage k draws on lane 1 + k for the trials still alive and fires where
-    ``u < p_here``; the survivors draw on lane 0, as the flat resolver does.
-    Yields ``(k, candidates, uniforms)`` per stage k that fires (uniforms
-    rescaled to ``u / p_here``) and then for the survivors, as stage
-    ``len(stages)``.
-    """
-    alive = np.arange(n, dtype=np.int64)
-    for k, (p_here, inner_cands) in enumerate(stages):
-        if p_here <= 0.0 or alive.size == 0:
-            continue
-        u = rng.uniforms(seed, 1 + k, lo, n)[alive]
-        fired = u < p_here
-        alive, u = alive[~fired], u[fired] / p_here  # the stage's full arrays go before the caller counts
-        if u.size:
-            yield k, inner_cands, u
-    if alive.size:
-        yield len(stages), final, rng.uniforms(seed, LANE_OUTCOME, lo, n)[alive]
-
-
-def _resolve(stages, final, seed: int, trial: int) -> Outcome:
-    _, candidates, u = next(_draws(stages, final, seed, trial, 1))  # one trial: one draw
-    return candidates[int(_pick(candidates, u[0]))].outcome
+        return sum(pool.map(count, [chunks[j::threads] for j in range(threads)]))
 
 
 def resolve_flat(dist: OutcomeDistribution, seed: int, trial: int) -> Outcome:
     """Sample one outcome; deterministic in (seed, trial index)."""
-    return _resolve((), dist.candidates, seed, trial)
+    _, i = _resolve(_flat_table(dist), seed, LANE_OUTCOME, trial)
+    return dist.candidates[i].outcome
 
 
 def sample_flat(
@@ -515,9 +517,7 @@ def sample_flat(
 ) -> np.ndarray:
     """Counts per candidate for trial indices ``start .. start+trials-1``, on up to
     ``workers`` threads; the counts do not depend on ``workers``."""
-    if trials < 1:
-        raise UsageError("trials must be >= 1")
-    return _tally(dist.candidates, seed, LANE_OUTCOME, start, trials, workers)
+    return _tally(_flat_table(dist), seed, LANE_OUTCOME, start, trials, workers)
 
 
 def resolve_hierarchical(
@@ -530,7 +530,8 @@ def resolve_hierarchical(
     identically to ``resolve_flat`` trial by trial.
     """
     table = _hierarchy_stages(network, context)
-    return _resolve(table.stages, table.final, seed, trial)
+    k, i = _resolve(table, seed, LANE_OUTCOME, trial)
+    return table.outcomes[table.where[k][i]]
 
 
 def sample_hierarchical(
@@ -538,14 +539,8 @@ def sample_hierarchical(
 ) -> OutcomeDistribution:
     """Vectorized hierarchical sampling, CHUNK trials at a time; counts align
     with the flat candidates."""
-    if trials < 1:
-        raise UsageError("trials must be >= 1")
     table = _hierarchy_stages(network, context)
-    where = [np.flatnonzero(table.stage_of == k) for k in range(len(table.stages) + 1)]  # in each stage's order
-    counts = np.zeros(len(table.flat), dtype=np.int64)
-    for lo in _chunks(0, trials):
-        for k, cands, u in _draws(table.stages, table.final, seed, lo, min(CHUNK, trials - lo)):
-            counts[where[k]] += _count(_cut(cands), u)
+    counts = _tally(table, seed, LANE_OUTCOME, 0, trials)
     return OutcomeDistribution(
         table.flat, "hierarchical", table.atom_space, seed=seed, trials=trials, counts=tuple(counts.tolist())
     )
@@ -680,9 +675,8 @@ def chsh_monte_carlo(
     conditionals = _pair_conditionals(network, settings, post)
     for lane, (key, conditional) in enumerate(conditionals.items()):
         n = pairs // 4 + (1 if lane < pairs % 4 else 0)
-        cands = conditional.candidates
-        tally = _tally(cands, seed, 100 + lane, 0, n, workers)
-        balance = int(_correlation(cands, tally.tolist()))  # same - different, exact
+        tally = _tally(_flat_table(conditional), seed, 100 + lane, 0, n, workers)
+        balance = int(_correlation(conditional.candidates, tally.tolist()))  # same - different, exact
         counts[key] = ((n + balance) // 2, (n - balance) // 2)
         correlations[key] = balance / n
     return _chsh_result(correlations, settings, counts)

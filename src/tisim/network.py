@@ -609,6 +609,12 @@ def confirmation_wave(network: Network, terminal: str) -> tuple[str | None, np.n
     return wave
 
 
+def _source_couplings(wave: np.ndarray, bras: list[np.ndarray]) -> list[complex]:
+    """Each photon source's coupling: its row of a ``confirmation_wave`` read against the
+    tensor product of the atoms' bras (vectors over their spin bases), first atom outermost, as W is laid out."""
+    return (wave @ reduce(np.multiply.outer, bras, np.ones(())).ravel()).tolist()
+
+
 def backward_propagate(
     network: Network,
     confirmation: Bra,
@@ -675,8 +681,7 @@ def backward_propagate(
 
     # the photon sources add coherently: the joint amplitude is the sum of their couplings
     _, wave = confirmation_wave(network, terminal)
-    spins = reduce(np.multiply.outer, vectors, np.ones(())).ravel()  # first atom outermost, as W is laid out
-    couplings = [coefficient * z for z in (wave @ spins).tolist()]
+    couplings = [coefficient * z for z in _source_couplings(wave, vectors)]
     a_total = sum(couplings)
     for e, s_e in zip(plan.photon_sources, couplings):
         sector[e.id] = s_e / atom_product if abs(atom_product) > 0 else 0j

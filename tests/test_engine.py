@@ -16,7 +16,6 @@ from tisim.engine import (
     OutcomeDistribution,
     TransactionCandidate,
     _count,
-    _hierarchy_stages,
 )
 from tisim.errors import ContractError, UsageError, ValidationError
 from tisim.rng import uniform, uniforms
@@ -206,6 +205,20 @@ def reference_counts(candidates, u):
     return np.bincount(picks, minlength=len(candidates))
 
 
+def stage_lists(net, ctx):
+    """The hierarchy's stages, rebuilt without the stage table's own membership:
+    per box in rank order, its absorption probability from ``forward_propagate``
+    and the flat candidates whose photon is the box; then the detectors' candidates."""
+    flat = t.enumerate_transactions(net, ctx).candidates
+    trace = t.forward_propagate(net)
+    detectors = {d.id for d in net.detectors()}
+    stages = [
+        (p_here, [c for c in flat if c.outcome.photon == box_id])
+        for (box_id, _), p_here in zip(trace.absorbed, trace.box_fractions)
+    ]
+    return stages, [c for c in flat if c.outcome.photon in detectors]
+
+
 def weighted_candidates(weights):
     return tuple(
         TransactionCandidate(Outcome(f"o{i}"), float(w), 0j) for i, w in enumerate(weights)
@@ -237,8 +250,7 @@ def test_streamed_counts_equal_one_shot_reference():
 def test_sample_hierarchical_streams_in_chunks(qle):
     trials, seed = 2 * CHUNK + 7, 41
     for ctx in (t.z_context(qle), t.y_context(qle)):
-        table = _hierarchy_stages(qle, ctx)
-        stages, final = table.stages, table.final
+        stages, final = stage_lists(qle, ctx)
         flat = t.enumerate_transactions(qle, ctx)
         index_of = {c.outcome: i for i, c in enumerate(flat.candidates)}
         expected = np.zeros(len(flat.candidates), dtype=np.int64)
@@ -261,8 +273,7 @@ def test_sample_hierarchical_streams_in_chunks(qle):
 
 def test_hierarchy_stage_probabilities(hardy):
     ctx = t.z_context(hardy)
-    table = _hierarchy_stages(hardy, ctx)
-    stages, final = table.stages, table.final
+    stages, final = stage_lists(hardy, ctx)
     assert len(stages) == 1
     p_absorb, _ = stages[0]
     assert abs(p_absorb - 0.25) < 1e-12
@@ -547,7 +558,7 @@ def test_sample_hierarchical_needs_a_positive_trial_count(qle):
 
 def reference_candidates(state, network, excited_box=None):
     """The per-term loop of the dict representation: terms in label order,
-    then a stable sort on ``Outcome.sort_key``."""
+    then a stable sort on the photon name and the atom symbols."""
     photon_i = [s.id for s in state.space].index(network.photon.id)
     atom_is = [[s.id for s in state.space].index(a.id) for a in network.atoms()]
     terminals = network.terminal_symbols()
@@ -556,7 +567,7 @@ def reference_candidates(state, network, excited_box=None):
         atoms = tuple((state.space[i].id, label[i]) for i in atom_is)
         outcome = Outcome(terminals.get(label[photon_i], label[photon_i]), atoms, excited_box and excited_box.atom)
         out.append(TransactionCandidate(outcome, abs(amp) ** 2, amp))
-    return sorted(out, key=lambda c: c.outcome.sort_key())
+    return sorted(out, key=lambda c: (c.outcome.photon, tuple(sym for _, sym in c.outcome.atoms)))
 
 
 def test_candidates_match_the_per_term_reference_on_large_states():

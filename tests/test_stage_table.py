@@ -17,7 +17,7 @@ from tisim.errors import ContractError
 from tisim.network import AtomBox, Detector, Emitter, Network, PropagationTrace
 from tisim.rng import uniform
 from netgen import random_network
-from test_engine import hardy_with_second_box
+from test_engine import hardy_with_second_box, stage_lists
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 from cascade import cascade  # noqa: E402
@@ -33,14 +33,7 @@ def reference_resolver(net, ctx, seed):
     """Resolve trials without the engine's draw loop: boxes in rank order, each
     drawing ``uniform(seed, 1 + k, trial)`` and firing when it is below the
     box's absorption probability; survivors draw on lane 0."""
-    flat = t.enumerate_transactions(net, ctx).candidates
-    trace = t.forward_propagate(net)
-    detectors = {d.id for d in net.detectors()}
-    stages = [
-        (p_here, [c for c in flat if c.outcome.photon == box_id])
-        for (box_id, _), p_here in zip(trace.absorbed, trace.box_fractions)
-    ]
-    final = [c for c in flat if c.outcome.photon in detectors]
+    stages, final = stage_lists(net, ctx)
 
     def pick(cands, u):
         cum = np.cumsum([c.weight for c in cands])
@@ -243,20 +236,20 @@ def test_threads_over_more_contexts_than_tables_see_their_own():
 
 
 def loop_hierarchical(net, ctx):
-    """The chain rule candidate by candidate over the table's stage lists,
+    """The chain rule candidate by candidate over the stage lists,
     merged by a stable sort on the photon name: the reference for the flat path."""
-    table = engine._hierarchy_stages(net, ctx)
+    stages, final = stage_lists(net, ctx)
     survival, candidates = 1.0, []
-    for p_here, inner in table.stages:
+    for p_here, inner in stages:
         if p_here <= 0.0:
             continue
         mass = sum(c.weight for c in inner)
         for c in inner:
             candidates.append((c.outcome, survival * p_here * (c.weight / mass), c.amplitude))
         survival *= 1.0 - p_here
-    final_mass = sum(c.weight for c in table.final)
+    final_mass = sum(c.weight for c in final)
     if final_mass > 0.0:
-        for c in table.final:
+        for c in final:
             candidates.append((c.outcome, survival * (c.weight / final_mass), c.amplitude))
     return [(o, w.hex(), a) for o, w, a in sorted(candidates, key=lambda c: c[0].photon)]
 
@@ -294,7 +287,7 @@ def test_hierarchical_weights_match_the_per_candidate_loop_bit_for_bit():
     nets += [never, dark, *(cascade(k, 3) for k in range(1, 10))]
     rng = np.random.default_rng(4142)
     nets += [random_network(rng, index) for index in range(60)]
-    assert engine._hierarchy_stages(never, t.z_context(never)).stages[0][0] == 0.0
+    assert stage_lists(never, t.z_context(never))[0][0][0] == 0.0
     assert engine._hierarchy_stages(dark, t.z_context(dark)).masses[-1] == 0.0
     for net in nets:
         two_level = all(len(a.basis) == 2 for a in net.atoms())
@@ -324,3 +317,47 @@ def test_a_table_whose_weights_do_not_total_one_is_refused(monkeypatch):
             with pytest.raises(ContractError, match=r"network 'qle'.* drifts from 1 by 0\.020"):
                 call(ctx)
     assert net._stage_tables == {}
+
+
+# -- one draw loop under every resolver and sampler ------------------------------------
+
+
+def test_samplers_count_what_the_resolvers_resolve_trial_by_trial():
+    qle = t.qle_network()
+    nets = [qle, t.hardy_network(), t.ev_bomb_network(True), t.ev_bomb_network(False), t.two_laser_variant(qle)]
+    nets += [absorbing_everything(), single_spin(qle, "atom1", "-")]  # survivors of no mass; a box that never absorbs
+    rng = np.random.default_rng(5772)
+    nets += [random_network(rng, index) for index in range(10)]
+    seed, start, n = 2**64 - 5, 2**40 + 1, 3_000
+    for net in nets:
+        two_level = all(len(a.basis) == 2 for a in net.atoms())
+        for ctx in (t.z_context(net), t.y_context(net)) if two_level else (t.z_context(net),):
+            dist = t.enumerate_transactions(net, ctx)
+            index_of = {c.outcome: i for i, c in enumerate(dist.candidates)}
+
+            def counts(outcomes):
+                return np.bincount([index_of[o] for o in outcomes], minlength=len(index_of)).tolist()
+
+            hier = [t.resolve_hierarchical(net, ctx, seed, k) for k in range(n)]
+            assert list(t.sample_hierarchical(net, ctx, n, seed).counts) == counts(hier), net.name
+            flat = [t.resolve_flat(dist, seed, start + k) for k in range(n)]
+            assert t.sample_flat(dist, n, seed, start).tolist() == counts(flat), net.name
+
+
+def test_a_stage_that_fires_without_mass_is_refused(monkeypatch):
+    net = t.qle_network()
+    ctx = t.z_context(net)
+    table = engine._hierarchy_stages(net, ctx)
+    born = table.born.copy()
+    born[table.where[0]] = 0.0  # box A can still fire, but its candidates weigh nothing
+    monkeypatch.setitem(net._stage_tables, engine._atom_bases(net, ctx), table._replace(born=born))
+    fires = next(trial for trial in range(100) if uniform(1, 1, trial) < table.fractions[0])
+    empty = t.OutcomeDistribution(tuple(c._replace(weight=0.0) for c in table.flat), "test")
+    for call in (
+        lambda: t.resolve_hierarchical(net, ctx, 1, fires),
+        lambda: t.sample_hierarchical(net, ctx, 100, 1),
+        lambda: t.resolve_flat(empty, 1, 0),
+        lambda: t.sample_flat(empty, 100, 1),
+    ):
+        with pytest.raises(ContractError, match="cannot sample from an empty distribution"):
+            call()
