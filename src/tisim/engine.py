@@ -36,7 +36,7 @@ from .amplitudes import (
     rebase,
 )
 from .errors import ContractError, StructuralError, UsageError, ValidationError
-from .network import AtomBox, Network, _source_couplings, confirmation_wave
+from .network import Network, _source_couplings, confirmation_wave
 
 LANE_OUTCOME = 0  # final outcome draw; hierarchy stage k draws on lane 1 + k
 CHUNK = 2**20  # trials drawn at a time, so sampling memory does not grow with the trial count
@@ -174,9 +174,6 @@ class OutcomeDistribution:
     def weight_of(self, label: str) -> float:
         return sum(c.weight for c in self.candidates if c.outcome.label == label)
 
-    def as_dict(self) -> dict[str, float]:
-        return {c.outcome.label: c.weight for c in self.candidates}
-
     def photon_marginal(self) -> dict[str, float]:
         out: dict[str, float] = {}
         for c in self.candidates:
@@ -185,45 +182,6 @@ class OutcomeDistribution:
 
     def absorbed_probability(self) -> float:
         return float(sum(c.weight for c in self.candidates if c.outcome.excited is not None))
-
-
-def _rebase_atoms(
-    state: Ket,
-    network: Network,
-    context: MeasurementContext,
-    skip: str | None = None,
-) -> Ket:
-    for atom in network.atoms():
-        if atom.id == skip:
-            continue
-        basis = context.basis_for(atom.id)
-        m = basis.matrix()
-        if m is not None:
-            state = rebase(state, atom.id, m, basis.symbols(atom))
-    return state
-
-
-def _candidates_from_ket(
-    state: Ket, network: Network, excited_box: AtomBox | None = None
-) -> tuple[TransactionCandidate, ...]:
-    """The ket's terms as candidates, in canonical order: by photon name, then
-    atom symbols, compared as strings (validated emitters leave no ties).  The
-    sort runs on each digit's rank among its subsystem's symbols."""
-    plan = network._plan
-    names = tuple(plan.terminals.get(sym, sym) for sym in state.space[0].basis)
-    slots = (0, *plan.atoms.values())
-    codec = state._codec
-    symbols, ranks = _outcome_tables(codec, slots, names)
-    digits = [codec.digit(state._codes, i) for i in slots]
-    by_outcome = 0
-    for i, r, d in zip(slots, ranks, digits):  # mixed radix over the ranks: fits, as the codes do
-        by_outcome = by_outcome * codec.radices[i] + r[d]
-    order = np.argsort(by_outcome, kind="stable")
-    weights = _squared_moduli(state._re[order], state._im[order])
-    excited = itertools.repeat(excited_box.atom if excited_box is not None else None)
-    atoms = _atom_readings(codec, slots, symbols, [d[order] for d in digits])
-    outcomes = map(Outcome, symbols[0][digits[0][order]].tolist(), atoms, excited)
-    return _candidates(outcomes, weights, state._amps[order].tolist())
 
 
 def _candidates(outcomes, weights, amplitudes) -> tuple[TransactionCandidate, ...]:
@@ -238,34 +196,37 @@ def _candidates(outcomes, weights, amplitudes) -> tuple[TransactionCandidate, ..
 _SHARE_FROM = 256
 
 
-def _atom_readings(codec, slots, symbols, digits) -> list:
-    """Each term's ``Outcome.atoms`` tuple.  On large states, terms that read
-    the atoms alike share one tuple, which saves building tens of thousands."""
-    if len(slots) == 1:
+def _atom_readings(symbols, digits) -> list:
+    """Each term's ``Outcome.atoms`` tuple, from its reading digits and their
+    tables (``_outcome_tables``; the photon's first).  On large states, terms
+    that read the atoms alike share one tuple, which saves building tens of thousands."""
+    if len(symbols) == 1:
         return [()] * len(digits[0])
     if len(digits[0]) <= _SHARE_FROM:
         return list(zip(*(table[d].tolist() for table, d in zip(symbols[1:], digits[1:]))))
-    reading = 0
-    for i, d in zip(slots[1:], digits[1:]):
-        reading = reading * codec.radices[i] + d
+    reading = 0  # fits, as the codes do: an atom read in two bases has a box, whose level the codes carry
+    for table, d in zip(symbols[1:], digits[1:]):
+        reading = reading * len(table) + d
     shared, which = np.unique(reading, return_inverse=True)
     pairs = []
-    for i, table in zip(reversed(slots[1:]), reversed(symbols[1:])):
-        pairs.append(table[shared % codec.radices[i]])
-        shared = shared // codec.radices[i]
+    for table in reversed(symbols[1:]):
+        pairs.append(table[shared % len(table)])
+        shared = shared // len(table)
     return np.fromiter(zip(*reversed(pairs)), dtype=object, count=len(pairs[0]))[which].tolist()
 
 
 @lru_cache(maxsize=256)
-def _outcome_tables(codec, slots: tuple[int, ...], names: tuple[str, ...]):
-    """Per outcome slot (photon, then atoms): what each digit reads as in an
-    ``Outcome`` (the photon's name, an atom's ``(id, symbol)`` pair) and its rank."""
-    values = [names] + [[(codec.space[i].id, sym) for sym in codec.space[i].basis] for i in slots[1:]]
+def _outcome_tables(names: tuple[str, ...], readings: tuple[tuple[SubsystemSpec, ...], ...]):
+    """Per outcome slot (photon, then atoms): what each reading digit reads as in an
+    ``Outcome`` (the photon's name, an atom's ``(id, symbol)`` pair) and its rank.  An
+    atom's reading digits run over the symbols of its specs in turn, each spec's ranked
+    among themselves: a sort compares only readings of one spec."""
+    values = [names] + [[(s.id, sym) for s in specs for sym in s.basis] for specs in readings]
     symbols = [np.empty(len(items), dtype=object) for items in values]
     for table, items in zip(symbols, values):
         for k, item in enumerate(items):
             table[k] = item  # one by one, so numpy keeps the pairs as tuples
-    ranks = [_ranks(names)] + [_ranks(codec.space[i].basis) for i in slots[1:]]
+    ranks = [_ranks(names)] + [np.concatenate([_ranks(s.basis) for s in specs]) for specs in readings]
     for table in symbols + ranks:
         table.setflags(write=False)  # cached and shared by every caller
     return symbols, ranks
@@ -302,41 +263,14 @@ class _StageTable(NamedTuple):
 
 
 def _hierarchy_stages(network: Network, context: MeasurementContext) -> _StageTable:
-    """The stage table every enumeration, resolver and sampler works from.
-
-    The network's one offer wave (``Network._offer_wave``), split at the
-    boxes, rebased into the context: per box in rank order, the probability
-    that it absorbs a photon reaching it (absorbed mass over the mass entering
-    the box) and its candidates; then the candidates of the wave that passes
-    every box.  Each stage's candidates are in canonical order with
-    unconditioned Born weights; no photon name spans two stages, so a stable
-    sort on the photon name merges them into ``flat``, also canonical, and
-    each stage's positions in ``flat`` rise in its own order.  Weights that do
-    not total 1 within ``TOL`` are a ``ContractError``.  The network keeps up
-    to ``STAGE_TABLES`` tables, keyed by the atoms' bases: a miss inserts one
-    and evicts the oldest-inserted beyond the bound, a hit changes nothing.
-    """
+    """The stage table every enumeration, resolver and sampler works from
+    (``_stage_table``).  The network keeps up to ``STAGE_TABLES`` tables, keyed
+    by the atoms' bases: a miss inserts one and evicts the oldest-inserted
+    beyond the bound, a hit changes nothing."""
     key = _atom_bases(network, context)
     table = network._stage_tables.get(key)
     if table is None:  # built in a local, so a thread racing an eviction still returns its own
-        trace = network._offer_wave
-        # the final candidates first, so a context the atoms cannot take fails here
-        final = _stage_candidates(network, context, None, trace.continuing)
-        boxes = network._plan.boxes
-        groups = (*(_stage_candidates(network, context, boxes[b], ket) for b, ket in trace.absorbed), final)
-        pool = list(itertools.chain(*groups))
-        order = sorted(range(len(pool)), key=[c.outcome.photon for c in pool].__getitem__)
-        flat = tuple(map(pool.__getitem__, order))
-        outcomes, born, amplitudes = zip(*flat)
-        drift = math.fsum(born) - 1.0
-        if not abs(drift) <= TOL:
-            raise ContractError(f"network {network.name!r}: total weight drifts from 1 by {drift!r}")
-        at = np.argsort(order)  # each pooled candidate's position in flat
-        ends = itertools.accumulate(map(len, groups))
-        where = tuple(at[end - len(g) : end] for g, end in zip(groups, ends))
-        masses = tuple(sum(c.weight for c in g) for g in groups)
-        atom_space = tuple(SubsystemSpec(a.id, a.kind, b.symbols(a)) for a, b in zip(network.atoms(), key))
-        table = _StageTable(trace.box_fractions, where, np.array(born), flat, masses, atom_space, outcomes, amplitudes)
+        table = _stage_table(network, key)
         tables = network._stage_tables
         tables[key] = table
         # list() copies the keys in one step, so a racing insert cannot break the walk; each
@@ -346,9 +280,66 @@ def _hierarchy_stages(network: Network, context: MeasurementContext) -> _StageTa
     return table
 
 
-def _stage_candidates(network: Network, context: MeasurementContext, box: AtomBox | None, ket: Ket):
-    rebased = _rebase_atoms(ket, network, context, skip=box.atom if box is not None else None)
-    return _candidates_from_ket(rebased, network, excited_box=box)
+def _stage_table(network: Network, bases: tuple[AtomBasis, ...]) -> _StageTable:
+    """The network's one offer wave (``Network._offer_wave``), split at the boxes
+    and read in the atoms' ``bases``: per box in rank order, the probability that
+    it absorbs a photon reaching it and its candidates, then the candidates of
+    the wave that passes every box, with unconditioned Born weights.
+
+    The stages run as one coded ket (no photon digit spans two, so no rebase
+    merges terms across them), and each atom is rebased once, on the terms that
+    do not leave it excited: those keep its z symbols, read through digits past
+    its context's.  One stable sort by rank on (photon name, atom symbols) puts
+    every candidate in canonical order (validated emitters leave no ties), so
+    each stage's positions rise in its own order.  Weights that do not total 1
+    within ``TOL`` are a ``ContractError``."""
+    plan, trace = network._plan, network._offer_wave
+    kets = (*(ket for _, ket in trace.absorbed), trace.continuing)
+    codec = trace.continuing._codec
+    codes, re, im = (np.concatenate([getattr(ket, part) for ket in kets]) for part in ("_codes", "_re", "_im"))
+    # per photon digit: the stage its terms are in, and the atom they leave excited (-1: none)
+    photon, atom_index = codec.space[0].basis, {atom: j for j, atom in enumerate(plan.atoms)}
+    stage_of, excites = np.full(len(photon), len(trace.absorbed)), np.full(len(photon), -1)
+    for k, box in enumerate(plan.boxes[box_id] for box_id, _ in trace.absorbed):
+        d = photon.index(box.marker)
+        stage_of[d], excites[d] = k, atom_index[box.atom]
+    atom_space = tuple(SubsystemSpec(a.id, a.kind, b.symbols(a)) for a, b in zip(network.atoms(), bases))
+    readings = []  # per atom, the specs its reading digits run over
+    for j, (atom, basis, spec) in enumerate(zip(network.atoms(), bases, atom_space)):
+        m = basis.matrix()
+        if m is None:
+            readings.append((atom,))
+            continue
+        stays = excites[codec.digit(codes, 0)] == j
+        moved = rebase(Ket._coded(codec, codes[~stays], re[~stays], im[~stays], prune=False), atom.id, m, spec.basis)
+        codec, parts = moved._codec, (moved._codes, moved._re, moved._im)
+        codes, re, im = (np.concatenate([new, old[stays]]) for new, old in zip(parts, (codes, re, im)))
+        readings.append((spec, atom) if j in excites else (spec,))
+    photons = codec.digit(codes, 0)
+    symbols, ranks = _outcome_tables(tuple(plan.terminals.get(sym, sym) for sym in photon), tuple(readings))
+    digits, by_outcome = [photons], ranks[0][photons]
+    for j, (slot, rank) in enumerate(zip(plan.atoms.values(), ranks[1:])):
+        d = codec.digit(codes, slot)
+        if len(readings[j]) == 2:
+            d = d + codec.radices[slot] * (excites[photons] == j)
+        digits.append(d)
+        by_outcome = by_outcome * codec.radices[slot] + rank[d]  # mixed radix over the ranks: fits, as the codes do
+    order = np.argsort(by_outcome, kind="stable")
+    digits, re, im = [d[order] for d in digits], re[order], im[order]
+    weights = _squared_moduli(re, im)
+    drift = math.fsum(weights) - 1.0
+    if not abs(drift) <= TOL:
+        raise ContractError(f"network {network.name!r}: total weight drifts from 1 by {drift!r}")
+    amps = np.empty(len(order), dtype=complex)
+    amps.real, amps.imag = re, im
+    amplitudes = tuple(amps.tolist())
+    excited = np.array([*plan.atoms, None], dtype=object)[excites[digits[0]]].tolist()  # -1 reads the last: None
+    outcomes = tuple(map(Outcome, symbols[0][digits[0]].tolist(), _atom_readings(symbols, digits), excited))
+    stage, born = stage_of[digits[0]], np.array(weights)
+    where = tuple(np.flatnonzero(stage == k) for k in range(len(kets)))
+    masses = tuple(sum(born[pos].tolist()) for pos in where)
+    flat = _candidates(outcomes, weights, amplitudes)
+    return _StageTable(trace.box_fractions, where, born, flat, masses, atom_space, outcomes, amplitudes)
 
 
 def enumerate_transactions(network: Network, context: MeasurementContext) -> OutcomeDistribution:
@@ -482,6 +473,7 @@ def _tally(table: _StageTable, seed: int, lane: int, start: int, trials: int, wo
         raise UsageError("trials must be >= 1")
     if workers < 1:
         raise UsageError("workers must be >= 1")
+    rng.check_stream(seed, start, trials)  # before the first chunk, not at the one that leaves the stream
     chunks, stop = range(start, start + trials, CHUNK), start + trials  # slicing a range takes no memory
     threads = min(workers, os.cpu_count() or 1, len(chunks))
     # The cuts are made here, and a chunk's uniforms go before its counts are summed into a new array: cuts made

@@ -26,17 +26,21 @@ def _generator(seed: int, lane: int, block: int) -> Generator:
     return Generator(Philox(counter=counter, key=key))
 
 
-def uniforms(seed: int, lane: int, start: int, count: int) -> np.ndarray:
-    """Uniform [0, 1) values for trial indices ``start .. start+count-1``.
-
-    Concatenating adjacent slices reproduces the whole stream bit for bit.
-    Trial indices lie in [0, 2**66): the block counter is one 64-bit word
-    with four trials per block.
-    """
+def check_stream(seed: int, start: int, count: int) -> None:
+    """Refuse a seed outside [0, 2**64) and trial indices ``start .. start+count-1``
+    outside [0, 2**66): the block counter is one 64-bit word with four trials per block."""
     if not 0 <= seed < 2**64:
         raise ContractError(f"seed {seed} is outside [0, 2**64)")
     if start < 0 or count < 0 or start + count > _WORDS_PER_BLOCK * 2**64:
         raise ContractError(f"{count} trials from index {start} leave the stream's indices [0, 2**66)")
+
+
+def uniforms(seed: int, lane: int, start: int, count: int) -> np.ndarray:
+    """Uniform [0, 1) values for trial indices ``start .. start+count-1``.
+
+    Concatenating adjacent slices reproduces the whole stream bit for bit.
+    """
+    check_stream(seed, start, count)
     if count == 0:
         return np.empty(0, dtype=np.float64)
     block, offset = divmod(start, _WORDS_PER_BLOCK)

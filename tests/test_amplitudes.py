@@ -215,8 +215,15 @@ def test_rebase_bell_pair_to_y_matches_oracle():
 
 
 def test_rebase_rejects_non_unitary():
-    with pytest.raises(ValidationError):
-        t.rebase(unit((SPIN1,), ("+",)), "atom1", np.array([[1, 1], [0, 1]]), ("a", "b"))
+    """Also a matrix that is not 2x2, and new symbols that are not two."""
+    for matrix, symbols, match in (
+        (np.array([[1, 1], [0, 1]]), ("a", "b"), "not unitary"),
+        (np.eye(3), ("a", "b"), "must be 2x2"),
+        (np.eye(2), ("a", "b", "c"), "exactly two"),
+        (np.eye(2), ("a",), "exactly two"),
+    ):
+        with pytest.raises(ValidationError, match=match):
+            t.rebase(unit((SPIN1,), ("+",)), "atom1", matrix, symbols)
 
 
 def test_rebase_rejects_wide_subsystem():

@@ -63,11 +63,21 @@ def test_echo_rejects_contexts_naming_unknown_atoms(qle):
             ask(qle, context)
 
 
-def test_backward_propagate_rejects_bras_for_unknown_atoms(qle):
+def test_backward_propagate_rejects_malformed_bras(qle):
+    photon, atom1 = qle.photon, qle.atoms()[0]
+    d = t.unit((photon,), ("d",), bra=True)
     bras = {a.id: t.unit((a,), ("+",), bra=True) for a in qle.atoms()}
-    bras["ghost"] = t.unit((t.SubsystemSpec("ghost", "atom-spin", ("+", "-")),), ("+",), bra=True)
-    with pytest.raises(StructuralError, match="ghost"):
-        t.backward_propagate(qle, t.unit((qle.photon,), ("d",), bra=True), bras)
+    ghost = t.unit((t.SubsystemSpec("ghost", "atom-spin", ("+", "-")),), ("+",), bra=True)
+    for confirmation, atom_bras, error, match in (
+        (d, {**bras, "ghost": ghost}, StructuralError, "unknown atoms \\['ghost'\\]"),
+        (t.unit((photon, atom1), ("d", "+"), bra=True), bras, ContractError, "photon subsystem alone"),
+        (t.Bra((photon,), {("d",): 0.6, ("c",): 0.8}), bras, ContractError, "exactly one symbol"),
+        (d, {"atom1": bras["atom1"]}, ContractError, "no confirmation bra supplied for atom 'atom2'"),
+        (d, {**bras, "atom2": bras["atom1"]}, StructuralError, "for 'atom2' is on the wrong space"),
+    ):
+        with pytest.raises(error, match=match):
+            t.backward_propagate(qle, confirmation, atom_bras)
+    assert abs(t.backward_propagate(qle, d, bras).weight - 1.0 / 16.0) < TOL
 
 
 def test_echo_reads_no_offer_wave(monkeypatch, hardy, qle):

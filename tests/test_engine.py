@@ -571,25 +571,38 @@ def reference_candidates(state, network, excited_box=None):
 
 
 def test_candidates_match_the_per_term_reference_on_large_states():
+    """The whole table against a per-stage reference: each stage's ket rebased
+    atom by atom with ``amplitudes.rebase`` (skipping the atom its box leaves
+    excited), read term by term, and the stages merged by a stable sort on the
+    photon name."""
     import sys
     from pathlib import Path
 
-    from tisim.engine import _SHARE_FROM, _candidates_from_ket, _rebase_atoms
+    from tisim.amplitudes import rebase
+    from tisim.engine import _SHARE_FROM
 
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
     from cascade import cascade
 
     # cascade(7) has 1,024 continuing terms, past the size where candidates share atom tuples
-    net = cascade(7, 0)
-    assert t.validate(net) == []
-    trace = t.forward_propagate(net)
-    kets = [(None, trace.continuing)] + [(net.element(b), k) for b, k in trace.absorbed]
-    for ctx in (t.z_context(net), t.y_context(net)):
-        for box, ket in kets:
-            rebased = _rebase_atoms(ket, net, ctx, skip=box.atom if box is not None else None)
-            got = _candidates_from_ket(rebased, net, box)
-            want = reference_candidates(rebased, net, box)
+    rng = np.random.default_rng(2718)
+    nets = [cascade(7, 0), t.qle_network(), hardy_with_second_box()] + [random_network(rng, i) for i in range(10)]
+    for net in nets:
+        assert t.validate(net) == []
+        trace = t.forward_propagate(net)
+        kets = [(None, trace.continuing)] + [(net.element(b), k) for b, k in trace.absorbed]
+        bloch = MeasurementContext({a.id: AtomBasis.bloch(0.7, 1.3) for a in net.atoms()})
+        for ctx in (t.z_context(net), t.y_context(net), bloch):
+            want = []
+            for box, ket in kets:
+                for atom in net.atoms():
+                    basis = ctx.basis_for(atom.id)
+                    if basis.matrix() is not None and (box is None or box.atom != atom.id):
+                        ket = rebase(ket, atom.id, basis.matrix(), basis.symbols(atom))
+                want += reference_candidates(ket, net, box)
+            want.sort(key=lambda c: c.outcome.photon)
+            got = t.enumerate_transactions(net, ctx).candidates
             assert [(c.outcome, repr(c.weight), repr(c.amplitude)) for c in got] == [
                 (c.outcome, repr(c.weight), repr(c.amplitude)) for c in want
-            ]
+            ], net.name
     assert len(t.forward_propagate(cascade(7, 0)).continuing) > _SHARE_FROM

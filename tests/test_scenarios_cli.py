@@ -499,6 +499,37 @@ def test_library_seed_errors_are_simulator_errors():
     assert uniforms(5, 0, 2**66 - 1, 1).shape == (1,)  # the last index of the stream
 
 
+def test_out_of_stream_runs_are_refused_before_any_draw(monkeypatch, capsys):
+    from tisim import rng
+    from tisim.errors import ContractError
+
+    draws = []
+
+    def no_draw(*args):  # raise, so a sampler that checks chunk by chunk fails here instead of drawing for hours
+        draws.append(args)
+        raise AssertionError(f"drew {args} before refusing the run")
+
+    qle, settings = t.qle_network(), t.ChshSettings(a=(0.0, 0.0), a_prime=(1.0, 0.0), b=(0.5, 0.0), b_prime=(1.5, 0.0))
+    dist = t.enumerate_transactions(qle, t.z_context(qle))
+    monkeypatch.setattr(rng, "uniforms", no_draw)
+    for call in (
+        lambda: t.sample_flat(dist, 10**23, 5),
+        lambda: t.sample_flat(dist, 3 * CHUNK, 5, start=2**66 - CHUNK),  # only the second chunk leaves the stream
+        lambda: t.sample_flat(dist, 10, 2**64),
+        lambda: t.sample_flat(dist, 10, -1, workers=2),
+        lambda: t.sample_hierarchical(qle, t.z_context(qle), 10**23, 5),
+        lambda: t.chsh_monte_carlo(qle, settings, 4 * 10**23, 5),
+    ):
+        with pytest.raises(ContractError):
+            call()
+    assert draws == []
+    for argv in (["run", "qle", "--trials", "100000000000000000000000"], ["run", "qle", "--trials", "10", "--seed", "-1"]):
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: "), argv
+    assert draws == []
+
+
 def with_element_field(element_id, field, value) -> dict:
     data = t.network_to_dict(t.qle_network())
     item = next(item for item in data["elements"] if item["id"] == element_id)

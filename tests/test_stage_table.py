@@ -107,18 +107,36 @@ def key(net, ctx):
     return tuple(ctx.basis_for(a.id) for a in net.atoms())
 
 
+class CountingTables(dict):
+    """A network's stage tables that record the key of every table inserted."""
+
+    def __init__(self):
+        super().__init__()
+        self.inserted = []
+
+    def __setitem__(self, key, table):
+        self.inserted.append(key)
+        super().__setitem__(key, table)
+
+
 def counting_builds(monkeypatch, net):
     """The keys of every stage table ``net`` builds, in build order."""
-    builds = []
-    real = engine._stage_candidates
+    tables = CountingTables()
+    monkeypatch.setitem(net.__dict__, "_stage_tables", tables)
+    return tables.inserted
 
-    def count(network, context, box, ket):
-        if network is net and box is None:  # one final stage per table
-            builds.append(key(network, context))
-        return real(network, context, box, ket)
 
-    monkeypatch.setattr(engine, "_stage_candidates", count)
-    return builds
+def test_each_atom_is_rebased_once_per_table(monkeypatch):
+    rebased = []
+    real = engine.rebase
+    monkeypatch.setattr(engine, "rebase", lambda state, atom, *rest: rebased.append(atom) or real(state, atom, *rest))
+    for net in (t.qle_network(), t.hardy_network(), *(cascade(k, 0) for k in (1, 4, 9))):
+        atoms = [a.id for a in net.atoms()]
+        for ctx, expected in ((t.z_context(net), []), (t.y_context(net), atoms), (bloch(net, 0.7, 1.3), atoms)):
+            rebased.clear()
+            t.enumerate_transactions(net, ctx)
+            assert rebased == expected, net.name
+    assert len(cascade(9, 0).atoms()) == 9
 
 
 def test_switching_contexts_builds_each_table_once(monkeypatch):
