@@ -39,8 +39,8 @@ from .errors import ContractError, StructuralError, UsageError, ValidationError
 from .network import Network, _source_couplings, confirmation_wave
 
 LANE_OUTCOME = 0  # final outcome draw; hierarchy stage k draws on lane 1 + k
-CHUNK = 2**20  # trials drawn at a time, so sampling memory does not grow with the trial count
-COMPARE_MAX = 64  # up to this many candidates, counting comparisons beats searchsorted
+CHUNK = 2**16  # trials drawn at a time: a block's uniforms (512 KiB) and masks stay in L2, and memory stays flat
+COMPARE_MAX = 256  # up to this many candidates, counting comparisons beats searchsorted on a block
 STAGE_TABLES = 4  # stage tables a network keeps, one per recent context: the four CHSH settings
 
 
@@ -122,8 +122,7 @@ def y_context(network: Network) -> MeasurementContext:
 # -- outcomes and distributions -----------------------------------------------
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(NamedTuple):
     """A terminal transaction label.
 
     ``photon`` names the detector (for detections) or the box (for
@@ -184,10 +183,10 @@ class OutcomeDistribution:
         return float(sum(c.weight for c in self.candidates if c.outcome.excited is not None))
 
 
-def _candidates(outcomes, weights, amplitudes) -> tuple[TransactionCandidate, ...]:
-    """Candidates built from columns; ``tuple.__new__`` skips the class's Python-level
-    ``__new__``, which took twice as long on 7,424 candidates in a timing loop."""
-    return tuple(map(tuple.__new__, itertools.repeat(TransactionCandidate), zip(outcomes, weights, amplitudes)))
+def _rows(cls, *columns) -> tuple:
+    """``cls`` tuples (``Outcome``, ``TransactionCandidate``) built from columns; ``tuple.__new__``
+    skips the class's Python-level ``__new__``, which took twice as long on 7,424 candidates."""
+    return tuple(map(tuple.__new__, itertools.repeat(cls), zip(*columns)))
 
 
 # from this many terms on, candidates share atom tuples: in a timing loop over
@@ -334,11 +333,11 @@ def _stage_table(network: Network, bases: tuple[AtomBasis, ...]) -> _StageTable:
     amps.real, amps.imag = re, im
     amplitudes = tuple(amps.tolist())
     excited = np.array([*plan.atoms, None], dtype=object)[excites[digits[0]]].tolist()  # -1 reads the last: None
-    outcomes = tuple(map(Outcome, symbols[0][digits[0]].tolist(), _atom_readings(symbols, digits), excited))
+    outcomes = _rows(Outcome, symbols[0][digits[0]].tolist(), _atom_readings(symbols, digits), excited)
     stage, born = stage_of[digits[0]], np.array(weights)
     where = tuple(np.flatnonzero(stage == k) for k in range(len(kets)))
     masses = tuple(sum(born[pos].tolist()) for pos in where)
-    flat = _candidates(outcomes, weights, amplitudes)
+    flat = _rows(TransactionCandidate, outcomes, weights, amplitudes)
     return _StageTable(trace.box_fractions, where, born, flat, masses, atom_space, outcomes, amplitudes)
 
 
@@ -368,7 +367,7 @@ def hierarchical_distribution(network: Network, context: MeasurementContext) -> 
         survival *= 1.0 - p_here
     # survival * p_here * (weight / mass) per candidate, as in Python floats
     weights = (np.array(factors)[at] * (table.born / np.array(masses)[at])).tolist()
-    candidates = _candidates(table.outcomes, weights, table.amplitudes)
+    candidates = _rows(TransactionCandidate, table.outcomes, weights, table.amplitudes)
     if not all(keeps):
         candidates = tuple(itertools.compress(candidates, np.array(keeps)[at].tolist()))
     return OutcomeDistribution(candidates, "hierarchical", table.atom_space)
@@ -448,7 +447,7 @@ def _draws(fractions: Sequence[float], seed: int, lane: int, lo: int, n: int):
         u = rng.uniforms(seed, 1 + k, lo, n)[alive]
         fired = u < p_here
         alive = np.flatnonzero(~fired) if isinstance(alive, slice) else alive[~fired]
-        u = u[fired] / p_here  # the box's full arrays go before the caller counts
+        u = u[fired] / p_here
         if u.size:
             yield k, u
         if alive.size == 0:
@@ -465,19 +464,18 @@ def _resolve(table: _StageTable, seed: int, lane: int, trial: int) -> tuple[int,
 def _tally(table: _StageTable, seed: int, lane: int, start: int, trials: int, workers: int = 1) -> np.ndarray:
     """Counts per flat candidate over trials ``start .. start+trials-1``; the survivors draw on ``lane``.
 
-    The trials are drawn CHUNK at a time, so memory does not grow with their
-    count.  The chunks are counted on at most ``min(workers, os.cpu_count(),
-    chunks)`` threads, inline when that is one; the counts do not depend on it.
+    The trials are drawn in blocks of CHUNK, small enough that a block's uniforms,
+    masks and indices stay in L2 and memory does not grow with the trials.  The
+    blocks are counted on at most ``min(workers, os.cpu_count(), blocks)`` threads,
+    inline when that is one (runs of up to one block); the counts do not depend on it.
     """
     if trials < 1:
         raise UsageError("trials must be >= 1")
     if workers < 1:
         raise UsageError("workers must be >= 1")
-    rng.check_stream(seed, start, trials)  # before the first chunk, not at the one that leaves the stream
-    chunks, stop = range(start, start + trials, CHUNK), start + trials  # slicing a range takes no memory
-    threads = min(workers, os.cpu_count() or 1, len(chunks))
-    # The cuts are made here, and a chunk's uniforms go before its counts are summed into a new array: cuts made
-    # in a worker, an in-place sum or the other order left glibc's per-thread heaps holding a second chunk.
+    rng.check_stream(seed, start, trials)  # before the first block, not at the one that leaves the stream
+    blocks, stop = range(start, start + trials, CHUNK), start + trials  # slicing a range takes no memory
+    threads = min(workers, os.cpu_count() or 1, len(blocks))
     reach = (*(p > 0.0 for p in table.fractions), all(p < 1.0 for p in table.fractions))  # the stages a trial reaches
     cuts = [_cut(table.born[pos]) if can else None for pos, can in zip(table.where, reach)]
 
@@ -485,17 +483,16 @@ def _tally(table: _StageTable, seed: int, lane: int, start: int, trials: int, wo
         counts = np.zeros(table.born.size, dtype=np.int64)
         for lo in part:
             for k, u in _draws(table.fractions, seed, lane, lo, min(CHUNK, stop - lo)):
-                drawn = _count(cuts[k], u)
-                del u
-                counts[table.where[k]] = counts[table.where[k]] + drawn
+                counts[table.where[k]] += _count(cuts[k], u)
+                del u  # else this block's uniforms stay live while the next block draws, doubling the peak
         return counts
 
     if threads == 1:
-        return count(chunks)
+        return count(blocks)
     # numpy's Philox fill and comparisons release the GIL, so threads overlap; thread j
-    # takes every threads-th chunk from j, so the pending work does not grow with the trials
+    # takes every threads-th block from j, so the pending work does not grow with the trials
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return sum(pool.map(count, [chunks[j::threads] for j in range(threads)]))
+        return sum(pool.map(count, [blocks[j::threads] for j in range(threads)]))
 
 
 def resolve_flat(dist: OutcomeDistribution, seed: int, trial: int) -> Outcome:
@@ -529,8 +526,8 @@ def resolve_hierarchical(
 def sample_hierarchical(
     network: Network, context: MeasurementContext, trials: int, seed: int
 ) -> OutcomeDistribution:
-    """Vectorized hierarchical sampling, CHUNK trials at a time; counts align
-    with the flat candidates."""
+    """Vectorized hierarchical sampling in blocks of CHUNK trials, on one thread;
+    counts align with the flat candidates."""
     table = _hierarchy_stages(network, context)
     counts = _tally(table, seed, LANE_OUTCOME, 0, trials)
     return OutcomeDistribution(

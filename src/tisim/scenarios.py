@@ -43,7 +43,6 @@ from .network import (
     Emitter,
     Network,
     backward_propagate,
-    forward_propagate,
     two_laser_variant,
 )
 from .pathnotation import parse, sum_amplitudes, surviving_detector_paths
@@ -255,7 +254,8 @@ def run_exact(scenario: Scenario) -> RunReport:
 def run_mc(scenario: Scenario, trials: int, seed: int, workers: int = 1) -> RunReport:
     """Monte Carlo run; counts are bit-identical for any worker count.
 
-    The engine counts the trials in 2**20-trial chunks on up to ``workers`` threads.
+    The engine counts the trials in blocks of 2**16 on up to ``workers`` threads,
+    so runs of up to one block use one thread.
     """
     if trials < 1:
         raise UsageError("trials must be >= 1")
@@ -373,7 +373,7 @@ def verification_checks() -> list[Check]:
 
     # single-atom interferometer: detector-region amplitudes and absorbed mass
     hardy = hardy_network()
-    trace = forward_propagate(hardy)
+    trace = hardy._offer_wave
     got = trace.continuing
     expectations = {
         ("d", "+", "0"): -r,
@@ -413,7 +413,7 @@ def verification_checks() -> list[Check]:
 
     # two-atom experiment: final coefficients and the post-selected pair
     qle = qle_network()
-    final = forward_propagate(qle).continuing
+    final = qle._offer_wave.continuing
     expectations = {
         ("d", "+", "0", "+", "0"): 0.25,
         ("d", "-", "0", "-", "0"): 0.25,
@@ -470,7 +470,7 @@ def verification_checks() -> list[Check]:
 
     # two coherent sources reproduce the single-source statistics
     twin = two_laser_variant(qle)
-    final_twin = forward_propagate(twin).continuing
+    final_twin = twin._offer_wave.continuing
     ok = approx_equal(final, final_twin, tol=1e-12)
     cond_twin, pair_twin = post_select(enumerate_transactions(twin, z_context(twin)), "D")
     ok = ok and pair_twin is not None and approx_equal(pair, pair_twin, tol=1e-12)

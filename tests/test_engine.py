@@ -198,6 +198,25 @@ def test_sample_flat_memory_does_not_grow_with_trials(monkeypatch, qle):
         assert peak < 2**20, f"{workers} worker(s): peak {peak} B before the second chunk"
 
 
+def test_sampling_works_in_cache_sized_blocks(qle):
+    import tracemalloc
+
+    z = t.z_context(qle)
+    dist = t.enumerate_transactions(qle, z)  # builds the stage table before the trace starts
+    runs = {
+        "sample_hierarchical 10^6": lambda: t.sample_hierarchical(qle, z, 10**6, seed=3),
+        "sample_flat 10^7, 2 workers": lambda: t.sample_flat(dist, 10**7, seed=3, workers=2),
+    }
+    for name, run in runs.items():
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, f"{name}: peak {peak / 2**20:.2f} MiB"
+
+
 def reference_counts(candidates, u):
     """One-shot inverse-CDF counts over all of ``u``: the mapping every sampler keeps."""
     cum = np.cumsum([c.weight for c in candidates])
@@ -266,6 +285,33 @@ def test_sample_hierarchical_streams_in_chunks(qle):
             alive = alive[~fired]
         add(final, uniforms(seed, 0, 0, trials)[alive])
         assert t.sample_hierarchical(qle, ctx, trials, seed).counts == tuple(expected.tolist())
+
+
+def test_counts_do_not_depend_on_the_block_size(monkeypatch, qle):
+    import tisim.engine as engine
+
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 3)  # so three threads run on any machine
+    ctx, seed = t.y_context(qle), 2**64 - 5
+    settings = ChshSettings(
+        a=(0.0, 0.0), a_prime=(math.pi / 2, 0.0), b=(math.pi / 4, 0.0), b_prime=(3 * math.pi / 4, 0.0)
+    )
+    dist, hierarchy = t.enumerate_transactions(qle, ctx), engine._hierarchy_stages(qle, ctx)
+    trials, start = 2**20 + 2**16 + 7, 4 * 2**20 + 3  # more than one block at every size; start % 4 == 3
+
+    def counts(workers):
+        return (
+            t.sample_flat(dist, trials, seed, start, workers).tolist(),
+            engine._tally(hierarchy, seed, engine.LANE_OUTCOME, start, trials, workers).tolist(),
+            t.chsh_monte_carlo(qle, settings, trials, seed, workers=workers).counts,
+            t.sample_hierarchical(qle, ctx, trials, seed).counts,
+        )
+
+    monkeypatch.setattr(engine, "CHUNK", 2**21)  # every trial in one block
+    whole = counts(1)
+    for chunk in (2**12, 2**16 + 4, 2**20):
+        monkeypatch.setattr(engine, "CHUNK", chunk)
+        for workers in (1, 3):
+            assert counts(workers) == whole, f"CHUNK {chunk}, {workers} worker(s)"
 
 
 # -- hierarchical resolution ------------------------------------------------------------

@@ -59,6 +59,8 @@ def test_unknown_scenario_and_bad_params():
         build_scenario("qle", frobnicate=1)
     with pytest.raises(UsageError):
         build_scenario("qle", atom_basis="bloch:oops")
+    with pytest.raises(UsageError):
+        build_scenario("qle-chsh", angles=(1, 2, 3))
 
 
 # -- exact runs ------------------------------------------------------------------------
@@ -267,7 +269,7 @@ def test_cli_run_with_network_file_uses_its_atoms(tmp_path, capsys):
         assert loaded["outcomes"] == builtin["outcomes"]
 
 
-@pytest.mark.parametrize("case", ["missing", "not-json", "no-keys"])
+@pytest.mark.parametrize("case", ["missing", "not-json", "no-keys", "not-an-object"])
 @pytest.mark.parametrize("command", [["run", "qle", "--exact"], ["path", "|L-S1-D>"]])
 def test_cli_network_file_failures_exit_two(case, command, tmp_path, capsys):
     path = tmp_path / "net.json"
@@ -275,6 +277,8 @@ def test_cli_network_file_failures_exit_two(case, command, tmp_path, capsys):
         path.write_text("{not json")
     elif case == "no-keys":
         path.write_text("{}")
+    elif case == "not-an-object":
+        path.write_text("[1, 2]")
     assert cli_main([*command, "--network", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -325,6 +329,21 @@ def test_cli_usage_errors_exit_two():
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "qle", "--exact", "--bomb", "present"], "unknown scenario parameters: ['bomb']"),
+        (["run", "qle", "--exact", "--atom-basis", "w"], "unknown atom basis 'w'"),
+        (["path", "|L-S1-D>", "--alias", "nope"], "bad alias 'nope'"),
+    ],
+)
+def test_cli_option_errors_exit_two_with_one_line(argv, message, capsys):
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1 and message in captured.err
+
+
 def test_cli_path_evaluation():
     code, out, _ = run_cli("path", "|L-_S1_-A-_S2_-D> + |L-S1-B-S2-D>")
     assert code == 0
@@ -335,6 +354,15 @@ def test_cli_path_syntax_error_exits_two():
     code, _, err = run_cli("path", "|L-")
     assert code == 2
     assert "position" in err
+
+
+def test_verify_walks_each_network_once(monkeypatch):
+    import tisim.network as network_module
+
+    walked, emit = [], network_module.emitted_state  # every offer-wave walk starts from the emitted state
+    monkeypatch.setattr(network_module, "emitted_state", lambda net: walked.append(net.name) or emit(net))
+    assert all(c.passed for c in verification_checks())
+    assert walked == ["hardy-ifm", "qle", "qle-two-laser"]
 
 
 def test_cli_verify_passes():
