@@ -222,17 +222,14 @@ def _mul(ar, ai, br, bi):
 def _merge(cls, codec: _Codec, codes: np.ndarray, re: np.ndarray, im: np.ndarray):
     """Sum the values of equal codes, from +0.0 in array order; each code
     stays where it first occurred."""
-    order = np.argsort(codes, kind="stable")
-    new = np.empty(len(codes), dtype=bool)
-    new[:1] = True
-    np.not_equal(codes[order[1:]], codes[order[:-1]], out=new[1:])
-    first = order[new]  # where each distinct code first occurs (the sort is stable)
-    if len(first) == len(codes):
-        return cls._coded(codec, codes, 0.0 + re, 0.0 + im)
-    rank = np.argsort(first)
-    slot = np.empty(len(codes), dtype=np.int64)
-    slot[order] = np.argsort(rank)[np.cumsum(new) - 1]
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)  # first: where each occurs first
     n = len(first)
+    if n == len(codes):
+        return cls._coded(codec, codes, 0.0 + re, 0.0 + im)
+    rank = np.argsort(first)  # the distinct codes in order of first occurrence
+    slot = np.empty(n, dtype=np.int64)
+    slot[rank] = np.arange(n)
+    slot = slot[inverse]
     return cls._coded(codec, codes[first[rank]], np.bincount(slot, re, n), np.bincount(slot, im, n))
 
 

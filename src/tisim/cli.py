@@ -13,7 +13,6 @@ from .errors import SimulatorError, UsageError
 from .network import load_network
 from .pathnotation import amplitude, format_expression, parse as parse_paths, sum_amplitudes
 from .scenarios import (
-    _atom_context,
     build_scenario,
     qle_network,
     run_exact,
@@ -73,16 +72,16 @@ def _cmd_list() -> int:
 
 
 def _cmd_run(args) -> int:
+    if args.exact and args.trials is not None:
+        raise UsageError("--exact and --trials exclude each other")
     params = {}
     if args.bomb is not None:
         params["bomb"] = args.bomb
     if args.post_select != "none":
         params["post_select"] = args.post_select.upper()
-    scenario = build_scenario(args.scenario, atom_basis=args.atom_basis, **params)
-    if args.network:
-        scenario.network = load_network(args.network)
-        scenario.context = _atom_context(scenario.network, args.atom_basis)
-    if args.trials is None or args.exact:
+    network = load_network(args.network) if args.network else None
+    scenario = build_scenario(args.scenario, network, atom_basis=args.atom_basis, **params)
+    if args.trials is None:
         report = run_exact(scenario)
     else:
         report = run_mc(scenario, trials=args.trials, seed=args.seed, workers=args.workers)

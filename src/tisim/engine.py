@@ -590,10 +590,19 @@ class ChshSettings:
 
 @dataclass(frozen=True)
 class ChshResult:
-    s: float
+    """Per setting pair (``ab``, ``ab'``, ``a'b``, ``a'b'``): the post-selected conditional
+    distribution the run read, its pair correlation (``pair_correlation``), and for a
+    Monte Carlo run its (same, different) counts."""
+
     correlations: dict[str, float]
     settings: ChshSettings
-    counts: dict[str, tuple[int, int]] | None = None  # (same, different) per pair
+    distributions: dict[str, OutcomeDistribution]
+    counts: dict[str, tuple[int, int]] | None = None
+
+    @property
+    def s(self) -> float:
+        e = self.correlations
+        return abs(e["ab"] - e["ab'"] + e["a'b"] + e["a'b'"])
 
 
 def pair_contexts(network: Network, settings: ChshSettings):
@@ -614,38 +623,35 @@ def pair_contexts(network: Network, settings: ChshSettings):
         yield key, ctx
 
 
-def _correlation(candidates: Sequence[TransactionCandidate], weights) -> float:
-    """Sum of ``weights``, signed + where the two atoms' outcomes agree and - where not."""
+def pair_correlation(
+    network: Network, dist: OutcomeDistribution, weights: Sequence[float] | None = None
+) -> float | None:
+    """The sum of ``weights`` (by default the candidates' own), each signed + where the two
+    atoms read alike and - where not.  An atom reads +1 on the first symbol of the basis it
+    was measured in and -1 on the second: the context's basis (``dist.atom_space``), or z
+    for the atom the photon left excited.  None unless the network has exactly two atoms,
+    of two symbols each."""
+    atoms = network.atoms()
+    if len(atoms) != 2 or any(len(a.basis) != 2 for a in atoms):
+        return None
+    if weights is None:
+        weights = [c.weight for c in dist.candidates]
+    z, measured = {a.id: a.basis[0] for a in atoms}, {a.id: a.basis[0] for a in dist.atom_space}
     e = 0.0
-    for c, w in zip(candidates, weights):
-        s1, s2 = (sym for _, sym in c.outcome.atoms)
-        e += w if s1[-1] == s2[-1] else -w
+    for c, w in zip(dist.candidates, weights):
+        first = [sym == (z if atom == c.outcome.excited else measured)[atom] for atom, sym in c.outcome.atoms]
+        e += w if first[0] == first[1] else -w
     return e
 
 
-def _pair_conditionals(
-    network: Network, settings: ChshSettings, post: str
-) -> dict[str, OutcomeDistribution]:
-    """The four post-selected conditional distributions a CHSH run works from."""
-    return {
+def chsh(network: Network, settings: ChshSettings, post: str = "D") -> ChshResult:
+    """Exact CHSH statistic from the four post-selected conditional distributions."""
+    distributions = {
         key: post_select(enumerate_transactions(network, ctx), post)[0]
         for key, ctx in pair_contexts(network, settings)
     }
-
-
-def _chsh_result(e: dict[str, float], settings: ChshSettings, counts=None) -> ChshResult:
-    s = abs(e["ab"] - e["ab'"] + e["a'b"] + e["a'b'"])
-    return ChshResult(s=s, correlations=e, settings=settings, counts=counts)
-
-
-def _exact_chsh(conditionals: dict[str, OutcomeDistribution], settings: ChshSettings) -> ChshResult:
-    e = {key: _correlation(d.candidates, [c.weight for c in d.candidates]) for key, d in conditionals.items()}
-    return _chsh_result(e, settings)
-
-
-def chsh(network: Network, settings: ChshSettings, post: str = "D") -> ChshResult:
-    """Exact CHSH statistic from post-selected conditional distributions."""
-    return _exact_chsh(_pair_conditionals(network, settings, post), settings)
+    correlations = {key: pair_correlation(network, d) for key, d in distributions.items()}
+    return ChshResult(correlations, settings, distributions)
 
 
 def chsh_monte_carlo(
@@ -653,22 +659,23 @@ def chsh_monte_carlo(
 ) -> ChshResult:
     """CHSH estimate from sampled post-selected pairs, split evenly over settings.
 
-    Each setting pair samples its conditional (post-selected) distribution on
-    its own deterministic stream, so estimates merge reproducibly.  Each
-    setting's pairs are counted on up to ``workers`` threads, as in ``sample_flat``.
+    Each setting pair samples the conditional distribution ``chsh`` reads on
+    its own deterministic stream (lane 100 + k for the k-th), so estimates merge
+    reproducibly.  Each setting's pairs are counted on up to ``workers`` threads,
+    as in ``sample_flat``.
     """
     if pairs < 4:
         raise UsageError("need at least one pair per setting")
+    distributions = chsh(network, settings, post).distributions
     correlations: dict[str, float] = {}
     counts: dict[str, tuple[int, int]] = {}
-    conditionals = _pair_conditionals(network, settings, post)
-    for lane, (key, conditional) in enumerate(conditionals.items()):
+    for lane, (key, conditional) in enumerate(distributions.items()):
         n = pairs // 4 + (1 if lane < pairs % 4 else 0)
         tally = _tally(_flat_table(conditional), seed, 100 + lane, 0, n, workers)
-        balance = int(_correlation(conditional.candidates, tally.tolist()))  # same - different, exact
+        balance = int(pair_correlation(network, conditional, tally.tolist()))  # same - different, exact
         counts[key] = ((n + balance) // 2, (n - balance) // 2)
         correlations[key] = balance / n
-    return _chsh_result(correlations, settings, counts)
+    return ChshResult(correlations, settings, distributions, counts)
 
 
 def chsh_optimal_settings(
@@ -775,8 +782,7 @@ def contextuality_verdicts(network: Network, post: str = "D") -> list[Assignment
                 other = next(s for s in spec.basis if s != box.blocking)
                 syms.append(box.blocking if occ else other)
             z_pred = {tuple(syms): 1.0}
-            y_syms = ("y+", "y-")
-            y_pred = {pair: 0.25 for pair in itertools.product(y_syms, repeat=2)}
+            y_pred = {pair: 0.25 for pair in itertools.product(*(spec.basis for spec in y_cond.atom_space))}
             verdicts.append(
                 AssignmentVerdict(
                     occupied=occupied,

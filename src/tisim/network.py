@@ -356,22 +356,27 @@ def validate(network: Network) -> list[Diagnostic]:
     for spec in network.subsystems:
         if spec.id not in covered:
             add_diag(None, "emitter-coverage", f"subsystem {spec.id!r} has no emitter")
-    # each emitter's subsystems lie side by side in declared order, so the sources' product is the declared space
-    declared = [s.id for s in network.subsystems]
+    # each emitter emits declared subsystems (their specs, not only their ids) side by side in
+    # declared order, and the photon emitters one space: so the sources' product is the declared space
+    declared = list(network.subsystems)
+    named = lambda specs: ", ".join(f"{spec.id}({'|'.join(spec.basis)})" for spec in specs) or "nothing"
     for e in network.emitters():
-        ids = [spec.id for spec in e.state.space]
-        start = declared.index(ids[0]) if ids and ids[0] in declared else -1
-        if declared[start : start + len(ids)] != ids:
-            add_diag(e.id, "emitter-order", f"emits {ids}, not side by side in the declared order {declared}")
-    n_photon_src = len(network.photon_emitters())
+        space = list(e.state.space)
+        start = declared.index(space[0]) if space and space[0] in declared else -1
+        if not space or declared[start : start + len(space)] != space:
+            add_diag(e.id, "emitter-order", f"emits {named(space)}: not declared subsystems side by side in order {named(declared)}")
+    photon_src = network.photon_emitters()
     allowed = 2 if network.two_source else 1
-    if n_photon_src != allowed:
-        add_diag(None, "photon-sources", f"expected {allowed} photon emitter(s), found {n_photon_src}")
+    if len(photon_src) != allowed:
+        add_diag(None, "photon-sources", f"expected {allowed} photon emitter(s), found {len(photon_src)}")
+    photon_spaces = {e.state.space for e in photon_src}
+    if len(photon_spaces) > 1:
+        emits = "; ".join(f"{e.id} emits {[spec.id for spec in e.state.space]}" for e in photon_src)
+        add_diag(None, "photon-source-space", f"photon emitters emit on different subsystems: {emits}")
 
     # emitted states carry unit mass; the photon emitters add coherently, as in emitted_state
-    photon_src = network.photon_emitters()
     sources = [([e.id], e.state) for e in network.emitters() if e not in photon_src]
-    if photon_src and len({e.state.space for e in photon_src}) == 1:
+    if len(photon_spaces) == 1:
         sources.append(([e.id for e in photon_src], reduce(add, [e.state for e in photon_src])))
     for ids, state in sources:
         try:
@@ -513,8 +518,6 @@ def emitted_state(network: Network) -> Ket:
     state = reduce(add, [e.state for e in plan.photon_sources])
     for e in plan.atom_sources:
         state = tensor(state, e.state)
-    if state.space != network.subsystems:
-        raise StructuralError("emitter coverage does not match the declared subsystem order")
     return state
 
 

@@ -26,11 +26,10 @@ from .engine import (
     AtomBasis,
     ChshSettings,
     MeasurementContext,
-    _correlation,
-    _exact_chsh,
-    _pair_conditionals,
+    chsh,
     chsh_monte_carlo,
     enumerate_transactions,
+    pair_correlation,
     post_select,
     sample_flat,
     z_context,
@@ -160,22 +159,16 @@ def _parse_atom_basis(spec: str) -> AtomBasis:
     raise UsageError(f"unknown atom basis {spec!r} (expected z, y, or bloch:theta,phi)")
 
 
-def _atom_context(network: Network, atom_basis: str) -> MeasurementContext:
-    """Every atom of ``network`` measured in the basis ``atom_basis`` names."""
-    basis = _parse_atom_basis(atom_basis)
-    return MeasurementContext({a.id: basis for a in network.atoms()})
-
-
 def scenario_names() -> tuple[str, ...]:
     return ("ev-bomb", "hardy-ifm", "qle", "qle-two-laser", "qle-chsh")
 
 
-def build_scenario(name: str, **params) -> Scenario:
-    """Construct a validated builtin scenario.
+def build_scenario(name: str, network: Network | None = None, **params) -> Scenario:
+    """Construct a builtin scenario, on ``network`` in place of its builtin one if given.
 
-    Common params: ``atom_basis`` ("z" | "y" | "bloch:theta,phi" in degrees),
-    ``post_select`` ("D" | "C" | None).  ``ev-bomb`` takes ``bomb``
-    ("present" | "absent"); ``qle-chsh`` takes ``angles`` (four polar angles
+    Common params: ``atom_basis`` ("z" | "y" | "bloch:theta,phi" in degrees; every
+    atom is measured in it), ``post_select`` ("D" | "C" | None).  ``ev-bomb`` takes
+    ``bomb`` ("present" | "absent"); ``qle-chsh`` takes ``angles`` (four polar angles
     in degrees, x-z plane).
     """
     atom_basis = params.pop("atom_basis", "z")
@@ -185,24 +178,26 @@ def build_scenario(name: str, **params) -> Scenario:
         bomb = params.pop("bomb", "present")
         if bomb not in ("present", "absent"):
             raise UsageError(f"bomb must be 'present' or 'absent', got {bomb!r}")
-        network, extra = ev_bomb_network(present=bomb == "present"), {"bomb": bomb}
+        builtin, extra = lambda: ev_bomb_network(present=bomb == "present"), {"bomb": bomb}
     elif name == "hardy-ifm":
-        network = hardy_network()
+        builtin = hardy_network
     elif name == "qle":
-        network = qle_network()
+        builtin = qle_network
     elif name == "qle-two-laser":
-        network = two_laser_variant(qle_network())
+        builtin = lambda: two_laser_variant(qle_network())
     elif name == "qle-chsh":
         angles = tuple(params.pop("angles", DEFAULT_CHSH_ANGLES_DEG))
         if len(angles) != 4:
             raise UsageError("qle-chsh needs exactly four angles (a, a', b, b') in degrees")
-        network, post = qle_network(), post or "D"
+        builtin, post = qle_network, post or "D"
         extra = {"angles": angles, "settings": chsh_settings_from_degrees(angles)}
     else:
         raise UsageError(f"unknown scenario {name!r}; choose from {', '.join(scenario_names())}")
     if params:
         raise UsageError(f"unknown scenario parameters: {sorted(params)}")
-    return Scenario(name, network, _atom_context(network, atom_basis), post, extra)
+    network = builtin() if network is None else network
+    basis = _parse_atom_basis(atom_basis)
+    return Scenario(name, network, MeasurementContext({a.id: basis for a in network.atoms()}), post, extra)
 
 
 # -- reports ----------------------------------------------------------------------
@@ -265,17 +260,16 @@ def run_mc(scenario: Scenario, trials: int, seed: int, workers: int = 1) -> RunR
 def _run(scenario: Scenario, trials: int | None = None, seed: int | None = None, workers: int = 1) -> RunReport:
     """The report of an exact run (``trials`` None) or a Monte Carlo one."""
     t0 = time.perf_counter()
-    chsh = scenario.name == "qle-chsh"
-    post = scenario.post_selection or ("D" if chsh else None)
+    is_chsh = scenario.name == "qle-chsh"
+    post = scenario.post_selection or ("D" if is_chsh else None)
     derived: dict = {"post_selected_on": post} if post else {}
-    if chsh:
+    if is_chsh:
         settings = scenario.params["settings"]
         if trials is None:
-            conditionals = _pair_conditionals(scenario.network, settings, post)
-            result = _exact_chsh(conditionals, settings)
+            result = chsh(scenario.network, settings, post)
             outcomes = [
-                {"outcome": f"{key}:{c.outcome.label}", "count": None, "probability": c.weight / len(conditionals)}
-                for key, conditional in conditionals.items()
+                {"outcome": f"{key}:{c.outcome.label}", "count": None, "probability": c.weight / len(result.distributions)}
+                for key, conditional in result.distributions.items()
                 for c in conditional.candidates
             ]
         else:
@@ -298,8 +292,8 @@ def _run(scenario: Scenario, trials: int | None = None, seed: int | None = None,
         if trials is None:
             if post:
                 derived["selection_probability"] = dist.photon_marginal().get(post, 0.0)
-            if cands and len(cands[0].outcome.atoms) == 2:
-                derived["correlation"] = _correlation(cands, [c.weight for c in cands])
+            if (correlation := pair_correlation(scenario.network, reported)) is not None:
+                derived["correlation"] = correlation
             counts = [None] * len(cands)
         else:
             counts = sample_flat(reported, trials, seed, workers=workers).tolist()

@@ -9,7 +9,17 @@ import math
 import numpy as np
 
 from tisim.amplitudes import Ket, SubsystemSpec, tensor, unit
-from tisim.network import AtomBox, BeamSplitter, Detector, Emitter, Mirror, Network, network_to_dict
+from tisim.network import (
+    AtomBox,
+    BeamSplitter,
+    Detector,
+    Emitter,
+    Mirror,
+    Network,
+    network_from_dict,
+    network_to_dict,
+    two_laser_variant,
+)
 from tisim.scenarios import hardy_network, qle_network
 
 
@@ -148,3 +158,44 @@ def qle_emitting_level_first() -> Network:
     state = Ket((level, spin), {(g, s): amp for (s, g), amp in source.state.items()})
     elements = tuple(Emitter(e.id, e.rank, state) if e is source else e for e in qle.elements)
     return dataclasses.replace(qle, elements=elements)
+
+
+def hardy_two_source_unequal_photon_spaces() -> Network:
+    """hardy fed by two photon emitters, ``L-u`` over ``(photon,)`` and ``L-v`` over
+    ``(photon, atom1, atom1-level)``: ``L-v`` takes over the atom source's emission."""
+    twin = two_laser_variant(hardy_network())
+    atom_source = twin.element("atom1-source")
+    elements = tuple(
+        Emitter(e.id, e.rank, tensor(e.state, atom_source.state)) if e.id == "L-v" else e
+        for e in twin.elements
+        if e is not atom_source
+    )
+    return dataclasses.replace(twin, elements=elements)
+
+
+def qle_emitting_undeclared_spin() -> Network:
+    """qle whose ``atom1-source`` emits an ``atom1`` over ``("+", "-", "x")``, not its declared ``("+", "-")``."""
+    qle = qle_network()
+    source = qle.element("atom1-source")
+    spin, level = source.state.space
+    wide = SubsystemSpec(spin.id, spin.kind, (*spin.basis, "x"))
+    state = Ket((wide, level), dict(source.state.items()))
+    elements = tuple(Emitter(e.id, e.rank, state) if e is source else e for e in qle.elements)
+    return dataclasses.replace(qle, elements=elements)
+
+
+def qle_with_spin_symbols(up: str, down: str) -> Network:
+    """qle with each atom's spin symbols ``+`` and ``-`` renamed ``up`` and ``down``."""
+    data = network_to_dict(qle_network())
+    rename = {"+": up, "-": down}
+    spins = {s["id"] for s in data["subsystems"] if s["kind"] == "atom-spin"}
+    for spec in data["subsystems"]:
+        if spec["id"] in spins:
+            spec["basis"] = [rename[sym] for sym in spec["basis"]]
+    for item in data["elements"]:
+        params = item["params"]
+        if item["variant"] == "atom-box":
+            params["blocking"] = rename[params["blocking"]]
+        for term in params.get("state", ()):
+            term["label"] = {k: rename[v] if k in spins else v for k, v in term["label"].items()}
+    return network_from_dict(data)

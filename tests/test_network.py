@@ -10,7 +10,15 @@ import tisim as t
 from tisim.amplitudes import SubsystemSpec, _apply_symbol_map, scale, unit
 from tisim.errors import ContractError, ValidationError
 from tisim.network import AtomBox, BeamSplitter, Detector, Emitter, Network, _ket_to_json, _parse_network, emitted_state
-from netgen import hardy_emitting_excited_levels, qle_emitting_level_first, qle_with_mirror, qle_with_three_outputs, random_network
+from netgen import (
+    hardy_emitting_excited_levels,
+    hardy_two_source_unequal_photon_spaces,
+    qle_emitting_level_first,
+    qle_emitting_undeclared_spin,
+    qle_with_mirror,
+    qle_with_three_outputs,
+    random_network,
+)
 
 RT2 = math.sqrt(2.0)
 R = 1.0 / (2.0 * RT2)
@@ -404,6 +412,24 @@ def test_emitters_list_their_subsystems_in_declared_order(qle):
     ):
         with pytest.raises(ValidationError, match=r"emitter-order \[atom1-source\]"):
             call()
+
+
+def test_emitters_emit_the_declared_subsystems(hardy):
+    wide = qle_emitting_undeclared_spin()  # declared ids, but a basis other than the declared one
+    assert [(d.element, d.rule) for d in t.validate(wide)] == [("atom1-source", "emitter-order")]
+    nothing = dataclasses.replace(hardy, elements=(*hardy.elements, Emitter("E", 0, unit((), ()))))
+    assert [(d.element, d.rule) for d in t.validate(nothing)] == [("E", "emitter-order")]
+    for net in (wide, nothing):
+        with pytest.raises(ValidationError, match="emitter-order"):
+            t.enumerate_transactions(net, t.z_context(net))
+
+
+def test_photon_emitters_emit_on_one_subsystem_set():
+    """Two photon emitters over different subsystems have no coherent sum."""
+    net = hardy_two_source_unequal_photon_spaces()
+    assert [(d.element, d.rule) for d in t.validate(net)] == [(None, "photon-source-space")]
+    with pytest.raises(ValidationError, match="photon-source-space"):
+        t.enumerate_transactions(net, t.z_context(net))
 
 
 

@@ -20,7 +20,14 @@ from tisim.scenarios import (
     scenario_names,
     verification_checks,
 )
-from netgen import hardy_emitting_excited_levels, qle_emitting_level_first, qle_with_mirror, qle_with_three_outputs
+from netgen import (
+    hardy_emitting_excited_levels,
+    hardy_two_source_unequal_photon_spaces,
+    qle_emitting_level_first,
+    qle_with_mirror,
+    qle_with_spin_symbols,
+    qle_with_three_outputs,
+)
 
 RT2 = math.sqrt(2.0)
 
@@ -111,6 +118,50 @@ def test_exact_chsh_report():
     report = run_exact(build_scenario("qle-chsh"))
     assert abs(report.derived["chsh_s"] - 2.0 * RT2) < 1e-9
     assert abs(sum(row["probability"] for row in report.outcomes) - 1.0) < 1e-12
+
+
+def test_chsh_reports_read_the_distributions_the_engine_read():
+    settings = build_scenario("qle-chsh").params["settings"]
+    exact = t.chsh(t.qle_network(), settings)
+    sampled = t.chsh_monte_carlo(t.qle_network(), settings, pairs=4_000, seed=3)
+    assert list(exact.distributions) == ["ab", "ab'", "a'b", "a'b'"]
+    assert sampled.distributions == exact.distributions  # sampled from the conditionals chsh reads
+    e = exact.correlations
+    assert exact.s == abs(e["ab"] - e["ab'"] + e["a'b"] + e["a'b'"])
+    report = run_exact(build_scenario("qle-chsh"))
+    assert report.outcomes == [
+        {"outcome": f"{key}:{c.outcome.label}", "count": None, "probability": c.weight / 4}
+        for key, dist in exact.distributions.items()
+        for c in dist.candidates
+    ]
+    assert report.derived["chsh_s"] == exact.s and report.derived["correlations"] == exact.correlations
+
+
+@pytest.mark.parametrize("up, down", [("left", "right"), ("+1", "-1")])
+def test_correlation_reads_each_atom_by_its_basis_position(up, down, tmp_path, capsys):
+    """An atom reads +1 on the first symbol of the basis it was measured in, whatever the
+    symbols are called: renaming qle's spin symbols changes no correlation and no S."""
+    renamed = qle_with_spin_symbols(up, down)
+    path = tmp_path / "renamed.json"
+    t.save_network(renamed, path)
+    for basis in ("z", "y"):
+        for post in ("none", "d"):  # unselected runs hold absorbed outcomes, whose excited atom reads z
+            argv = ["run", "qle", "--exact", "--atom-basis", basis, "--post-select", post]
+            assert cli_main(argv) == 0
+            builtin = json.loads(capsys.readouterr().out)["derived"]
+            assert cli_main([*argv, "--network", str(path)]) == 0
+            loaded = json.loads(capsys.readouterr().out)["derived"]
+            assert loaded["correlation"] == builtin["correlation"]
+    settings = build_scenario("qle-chsh").params["settings"]
+    assert t.chsh(renamed, settings).s == t.chsh(t.qle_network(), settings).s
+    sampled = t.chsh_monte_carlo(renamed, settings, pairs=4_000, seed=3)
+    assert sampled.counts == t.chsh_monte_carlo(t.qle_network(), settings, pairs=4_000, seed=3).counts
+
+
+def test_correlation_is_reported_for_two_two_symbol_atoms_only():
+    assert "correlation" in run_exact(build_scenario("qle-two-laser")).derived
+    for name in ("ev-bomb", "hardy-ifm"):
+        assert "correlation" not in run_exact(build_scenario(name)).derived
 
 
 # -- Monte Carlo runs ----------------------------------------------------------------------
@@ -308,6 +359,7 @@ def with_foreign_filter() -> dict:
         (with_foreign_filter, "emitter 'atom1-source': a filter must be the dual"),
         (lambda: t.network_to_dict(hardy_emitting_excited_levels()), "emitter-level [atom1-source]"),
         (lambda: t.network_to_dict(qle_emitting_level_first()), "emitter-order [atom1-source]"),
+        (lambda: t.network_to_dict(hardy_two_source_unequal_photon_spaces()), "photon-source-space"),
     ],
 )
 @pytest.mark.parametrize("command", [["run", "qle", "--exact"], ["run", "qle", "--trials", "100"]])
@@ -335,6 +387,7 @@ def test_cli_usage_errors_exit_two():
         (["run", "qle", "--exact", "--bomb", "present"], "unknown scenario parameters: ['bomb']"),
         (["run", "qle", "--exact", "--atom-basis", "w"], "unknown atom basis 'w'"),
         (["path", "|L-S1-D>", "--alias", "nope"], "bad alias 'nope'"),
+        (["run", "qle", "--exact", "--trials", "5"], "--exact and --trials exclude each other"),
     ],
 )
 def test_cli_option_errors_exit_two_with_one_line(argv, message, capsys):
@@ -348,6 +401,29 @@ def test_cli_path_evaluation():
     code, out, _ = run_cli("path", "|L-_S1_-A-_S2_-D> + |L-S1-B-S2-D>")
     assert code == 0
     assert "exact cancellation" in out
+
+
+def test_cli_list_prints_each_scenario_with_its_description(capsys):
+    assert cli_main(["list"]) == 0
+    assert capsys.readouterr().out == (
+        "ev-bomb        dark-port interferometer with an optional obstruction (bomb=present|absent)\n"
+        "hardy-ifm      interaction-free measurement with a boxed atom on one arm\n"
+        "qle            two boxed atoms straddling the arms; dark-port detections entangle them\n"
+        "qle-two-laser  the two-atom experiment fed by two coherent sources, no first splitter\n"
+        "qle-chsh       two-atom experiment at four Bloch settings, reported as a CHSH trial\n"
+    )
+
+
+def test_cli_path_resolves_aliases(tmp_path, capsys):
+    path = tmp_path / "net.json"
+    t.save_network(t.qle_network(), path)
+    argv = ["path", "|Laser-S1-BoxA-S2-Dark>", "--network", str(path)]
+    assert cli_main([*argv, "--alias", "Laser=L", "--alias", "BoxA=A", "--alias", "Dark=D"]) == 0
+    assert capsys.readouterr().out == (
+        "expression: |Laser-S1-BoxA-S2-Dark>\n"
+        "  term |Laser-S1-BoxA-S2-Dark> -> (0.4999999999999999+0j)\n"
+        "sum = (0.4999999999999999+0j)\n"
+    )
 
 
 def test_cli_path_syntax_error_exits_two():
