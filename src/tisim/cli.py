@@ -41,9 +41,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("scenario", help="scenario name (see 'tisim list')")
     run.add_argument("--exact", action="store_true", help="emit the analytic distribution")
     run.add_argument("--trials", type=int, default=None, help="Monte Carlo trial count")
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--workers", type=int, default=1)
-    run.add_argument("--atom-basis", default="z", help="z | y | bloch:theta,phi (degrees)")
+    run.add_argument("--seed", type=int, default=None, help="Monte Carlo seed (default 0)")
+    run.add_argument("--workers", type=int, default=None, help="Monte Carlo threads (default 1)")
+    run.add_argument("--atom-basis", default=None, help="z | y | bloch:theta,phi (degrees; default z)")
     run.add_argument("--post-select", default="none", choices=("d", "c", "none"))
     run.add_argument("--out", default="json", choices=("json", "csv"))
     run.add_argument("--network", default=None, help="network description file overriding the builtin")
@@ -74,17 +74,17 @@ def _cmd_list() -> int:
 def _cmd_run(args) -> int:
     if args.exact and args.trials is not None:
         raise UsageError("--exact and --trials exclude each other")
-    params = {}
-    if args.bomb is not None:
-        params["bomb"] = args.bomb
+    if args.trials is None and (args.seed, args.workers) != (None, None):
+        raise UsageError("--seed and --workers apply only to Monte Carlo runs (--trials)")
+    params = {key: value for key in ("bomb", "atom_basis") if (value := getattr(args, key)) is not None}
     if args.post_select != "none":
         params["post_select"] = args.post_select.upper()
     network = load_network(args.network) if args.network else None
-    scenario = build_scenario(args.scenario, network, atom_basis=args.atom_basis, **params)
+    scenario = build_scenario(args.scenario, network, **params)
     if args.trials is None:
         report = run_exact(scenario)
     else:
-        report = run_mc(scenario, trials=args.trials, seed=args.seed, workers=args.workers)
+        report = run_mc(scenario, args.trials, args.seed or 0, 1 if args.workers is None else args.workers)
     print(report.to_json() if args.out == "json" else report.to_csv(), end="\n" if args.out == "json" else "")
     return 0
 

@@ -20,8 +20,8 @@ import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass, field, replace
+from functools import cached_property, lru_cache
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -154,33 +154,47 @@ class TransactionCandidate(NamedTuple):
 
 @dataclass(frozen=True)
 class OutcomeDistribution:
-    """Candidates in canonical order, with optional sampled counts.
+    """Candidates in canonical order, held as columns (one entry per candidate:
+    its outcome, its weight as a Python float, its amplitude as a Python complex),
+    with optional sampled counts.
 
     ``atom_space`` records the (possibly rebased) atom-spin specs the outcome
     symbols refer to, so post-selected states can be rebuilt.
     """
 
-    candidates: tuple[TransactionCandidate, ...]
+    outcomes: tuple[Outcome, ...]
+    weights: tuple[float, ...]
+    amplitudes: tuple[complex, ...]
     provenance: str
     atom_space: Space = ()
     seed: int | None = None
     trials: int | None = None
     counts: tuple[int, ...] | None = None
 
+    @cached_property
+    def candidates(self) -> tuple[TransactionCandidate, ...]:
+        """The columns as ``TransactionCandidate`` rows, built on the first read."""
+        return _rows(TransactionCandidate, self.outcomes, self.weights, self.amplitudes)
+
     def total_weight(self) -> float:
-        return float(sum(c.weight for c in self.candidates))
+        return float(sum(self.weights))
 
     def weight_of(self, label: str) -> float:
-        return sum(c.weight for c in self.candidates if c.outcome.label == label)
+        return sum(w for o, w in zip(self.outcomes, self.weights) if o.label == label)
 
     def photon_marginal(self) -> dict[str, float]:
         out: dict[str, float] = {}
-        for c in self.candidates:
-            out[c.outcome.photon] = out.get(c.outcome.photon, 0.0) + c.weight
+        for o, w in zip(self.outcomes, self.weights):
+            out[o.photon] = out.get(o.photon, 0.0) + w
         return out
 
     def absorbed_probability(self) -> float:
-        return float(sum(c.weight for c in self.candidates if c.outcome.excited is not None))
+        return float(sum(w for o, w in zip(self.outcomes, self.weights) if o.excited is not None))
+
+    def _select(self, keep: Sequence[bool]) -> "OutcomeDistribution":
+        """The candidates where ``keep`` is true, in their order, without sampled counts."""
+        columns = (tuple(itertools.compress(column, keep)) for column in (self.outcomes, self.weights, self.amplitudes))
+        return OutcomeDistribution(*columns, self.provenance, self.atom_space)
 
 
 def _rows(cls, *columns) -> tuple:
@@ -254,11 +268,8 @@ class _StageTable(NamedTuple):
     fractions: tuple[float, ...]  # per box in rank order: the probability that it absorbs a photon reaching it
     where: tuple[np.ndarray | slice, ...]  # per box, then the survivors: its candidates' positions in ``flat``
     born: np.ndarray  # per flat candidate: its weight
-    flat: tuple[TransactionCandidate, ...] = ()  # every candidate, in canonical order
+    flat: OutcomeDistribution | None = None  # every candidate, in canonical order, in the context's atom bases
     masses: tuple[float, ...] = ()  # per box, then the survivors: its weights' ``sum``
-    atom_space: Space = ()  # the atoms' specs in the context's bases
-    outcomes: tuple[Outcome, ...] = ()  # per flat candidate
-    amplitudes: tuple[complex, ...] = ()  # per flat candidate
 
 
 def _hierarchy_stages(network: Network, context: MeasurementContext) -> _StageTable:
@@ -331,20 +342,19 @@ def _stage_table(network: Network, bases: tuple[AtomBasis, ...]) -> _StageTable:
         raise ContractError(f"network {network.name!r}: total weight drifts from 1 by {drift!r}")
     amps = np.empty(len(order), dtype=complex)
     amps.real, amps.imag = re, im
-    amplitudes = tuple(amps.tolist())
     excited = np.array([*plan.atoms, None], dtype=object)[excites[digits[0]]].tolist()  # -1 reads the last: None
     outcomes = _rows(Outcome, symbols[0][digits[0]].tolist(), _atom_readings(symbols, digits), excited)
     stage, born = stage_of[digits[0]], np.array(weights)
     where = tuple(np.flatnonzero(stage == k) for k in range(len(kets)))
     masses = tuple(sum(born[pos].tolist()) for pos in where)
-    flat = _rows(TransactionCandidate, outcomes, weights, amplitudes)
-    return _StageTable(trace.box_fractions, where, born, flat, masses, atom_space, outcomes, amplitudes)
+    flat = OutcomeDistribution(outcomes, tuple(weights), tuple(amps.tolist()), "flat", atom_space)
+    return _StageTable(trace.box_fractions, where, born, flat, masses)
 
 
 def enumerate_transactions(network: Network, context: MeasurementContext) -> OutcomeDistribution:
-    """Flat enumeration over the joint outcome space with Born weights."""
-    table = _hierarchy_stages(network, context)
-    return OutcomeDistribution(table.flat, "flat", table.atom_space)
+    """Flat enumeration over the joint outcome space with Born weights: the
+    distribution the network keeps for the context, the same object on every call."""
+    return _hierarchy_stages(network, context).flat
 
 
 def hierarchical_distribution(network: Network, context: MeasurementContext) -> OutcomeDistribution:
@@ -367,10 +377,8 @@ def hierarchical_distribution(network: Network, context: MeasurementContext) -> 
         survival *= 1.0 - p_here
     # survival * p_here * (weight / mass) per candidate, as in Python floats
     weights = (np.array(factors)[at] * (table.born / np.array(masses)[at])).tolist()
-    candidates = _rows(TransactionCandidate, table.outcomes, weights, table.amplitudes)
-    if not all(keeps):
-        candidates = tuple(itertools.compress(candidates, np.array(keeps)[at].tolist()))
-    return OutcomeDistribution(candidates, "hierarchical", table.atom_space)
+    dist = replace(table.flat, weights=tuple(weights), provenance="hierarchical")
+    return dist if all(keeps) else dist._select(np.array(keeps)[at].tolist())
 
 
 # -- confirmation-wave (echo) weights ------------------------------------------
@@ -428,7 +436,7 @@ def _count(cut: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def _flat_table(dist: OutcomeDistribution) -> _StageTable:
     """The distribution as a table with no boxes: every candidate in one stage."""
-    return _StageTable((), (slice(None),), np.array([c.weight for c in dist.candidates], dtype=float))
+    return _StageTable((), (slice(None),), np.array(dist.weights, dtype=float))
 
 
 def _draws(fractions: Sequence[float], seed: int, lane: int, lo: int, n: int):
@@ -498,7 +506,7 @@ def _tally(table: _StageTable, seed: int, lane: int, start: int, trials: int, wo
 def resolve_flat(dist: OutcomeDistribution, seed: int, trial: int) -> Outcome:
     """Sample one outcome; deterministic in (seed, trial index)."""
     _, i = _resolve(_flat_table(dist), seed, LANE_OUTCOME, trial)
-    return dist.candidates[i].outcome
+    return dist.outcomes[i]
 
 
 def sample_flat(
@@ -520,7 +528,7 @@ def resolve_hierarchical(
     """
     table = _hierarchy_stages(network, context)
     k, i = _resolve(table, seed, LANE_OUTCOME, trial)
-    return table.outcomes[table.where[k][i]]
+    return table.flat.outcomes[table.where[k][i]]
 
 
 def sample_hierarchical(
@@ -530,9 +538,7 @@ def sample_hierarchical(
     counts align with the flat candidates."""
     table = _hierarchy_stages(network, context)
     counts = _tally(table, seed, LANE_OUTCOME, 0, trials)
-    return OutcomeDistribution(
-        table.flat, "hierarchical", table.atom_space, seed=seed, trials=trials, counts=tuple(counts.tolist())
-    )
+    return replace(table.flat, provenance="hierarchical", seed=seed, trials=trials, counts=tuple(counts.tolist()))
 
 
 # -- post-selection -------------------------------------------------------------
@@ -553,24 +559,20 @@ def post_select(
         pred = lambda photon: photon == wanted
     else:
         pred = predicate
-    selected = [c for c in dist.candidates if pred(c.outcome.photon)]
-    total = sum(c.weight for c in selected)
-    if not selected or total <= 0.0:
+    selected = dist._select([pred(o.photon) for o in dist.outcomes])
+    total = sum(selected.weights)
+    if not selected.outcomes or total <= 0.0:
         raise ContractError("post-selection matched no outcome with nonzero weight")
     scale = math.sqrt(total)
-    conditional = OutcomeDistribution(
-        candidates=tuple(
-            c._replace(weight=c.weight / total, amplitude=c.amplitude / scale) for c in selected
-        ),
-        provenance=dist.provenance,
-        atom_space=dist.atom_space,
+    conditional = replace(
+        selected,
+        weights=tuple(w / total for w in selected.weights),
+        amplitudes=tuple(a / scale for a in selected.amplitudes),
     )
-    photons = {c.outcome.photon for c in selected}
+    outcomes = conditional.outcomes
     ket: Ket | None = None
-    if len(photons) == 1 and all(c.outcome.excited is None for c in selected) and dist.atom_space:
-        terms = {
-            tuple(sym for _, sym in c.outcome.atoms): c.amplitude / scale for c in selected
-        }
+    if len({o.photon for o in outcomes}) == 1 and all(o.excited is None for o in outcomes) and dist.atom_space:
+        terms = {tuple(sym for _, sym in o.atoms): a for o, a in zip(outcomes, conditional.amplitudes)}
         ket = Ket(dist.atom_space, terms)
     return conditional, ket
 
@@ -623,10 +625,8 @@ def pair_contexts(network: Network, settings: ChshSettings):
         yield key, ctx
 
 
-def pair_correlation(
-    network: Network, dist: OutcomeDistribution, weights: Sequence[float] | None = None
-) -> float | None:
-    """The sum of ``weights`` (by default the candidates' own), each signed + where the two
+def pair_correlation(network: Network, dist: OutcomeDistribution) -> float | None:
+    """The sum of the candidates' weights, each signed + where the two
     atoms read alike and - where not.  An atom reads +1 on the first symbol of the basis it
     was measured in and -1 on the second: the context's basis (``dist.atom_space``), or z
     for the atom the photon left excited.  None unless the network has exactly two atoms,
@@ -634,12 +634,10 @@ def pair_correlation(
     atoms = network.atoms()
     if len(atoms) != 2 or any(len(a.basis) != 2 for a in atoms):
         return None
-    if weights is None:
-        weights = [c.weight for c in dist.candidates]
     z, measured = {a.id: a.basis[0] for a in atoms}, {a.id: a.basis[0] for a in dist.atom_space}
     e = 0.0
-    for c, w in zip(dist.candidates, weights):
-        first = [sym == (z if atom == c.outcome.excited else measured)[atom] for atom, sym in c.outcome.atoms]
+    for o, w in zip(dist.outcomes, dist.weights):
+        first = [sym == (z if atom == o.excited else measured)[atom] for atom, sym in o.atoms]
         e += w if first[0] == first[1] else -w
     return e
 
@@ -672,7 +670,8 @@ def chsh_monte_carlo(
     for lane, (key, conditional) in enumerate(distributions.items()):
         n = pairs // 4 + (1 if lane < pairs % 4 else 0)
         tally = _tally(_flat_table(conditional), seed, 100 + lane, 0, n, workers)
-        balance = int(pair_correlation(network, conditional, tally.tolist()))  # same - different, exact
+        sampled = replace(conditional, weights=tuple(tally.tolist()))
+        balance = int(pair_correlation(network, sampled))  # same - different, exact
         counts[key] = ((n + balance) // 2, (n - balance) // 2)
         correlations[key] = balance / n
     return ChshResult(correlations, settings, distributions, counts)
@@ -764,9 +763,7 @@ def contextuality_verdicts(network: Network, post: str = "D") -> list[Assignment
     atoms = network.atoms()
 
     def atom_table(dist: OutcomeDistribution) -> dict:
-        return {
-            tuple(sym for _, sym in c.outcome.atoms): c.weight for c in dist.candidates
-        }
+        return {tuple(sym for _, sym in o.atoms): w for o, w in zip(dist.outcomes, dist.weights)}
 
     z_cond, _ = post_select(enumerate_transactions(network, z_context(network)), post)
     y_cond, _ = post_select(enumerate_transactions(network, y_context(network)), post)

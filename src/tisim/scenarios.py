@@ -169,9 +169,9 @@ def build_scenario(name: str, network: Network | None = None, **params) -> Scena
     Common params: ``atom_basis`` ("z" | "y" | "bloch:theta,phi" in degrees; every
     atom is measured in it), ``post_select`` ("D" | "C" | None).  ``ev-bomb`` takes
     ``bomb`` ("present" | "absent"); ``qle-chsh`` takes ``angles`` (four polar angles
-    in degrees, x-z plane).
+    in degrees, x-z plane), and no ``atom_basis``: its settings fix each atom's basis.
     """
-    atom_basis = params.pop("atom_basis", "z")
+    atom_basis = params.pop("atom_basis", None)
     post = params.pop("post_select", None)
     extra: dict = {}
     if name == "ev-bomb":
@@ -189,6 +189,8 @@ def build_scenario(name: str, network: Network | None = None, **params) -> Scena
         angles = tuple(params.pop("angles", DEFAULT_CHSH_ANGLES_DEG))
         if len(angles) != 4:
             raise UsageError("qle-chsh needs exactly four angles (a, a', b, b') in degrees")
+        if atom_basis is not None:
+            raise UsageError("qle-chsh measures each atom at its angles; it takes no atom basis")
         builtin, post = qle_network, post or "D"
         extra = {"angles": angles, "settings": chsh_settings_from_degrees(angles)}
     else:
@@ -196,7 +198,7 @@ def build_scenario(name: str, network: Network | None = None, **params) -> Scena
     if params:
         raise UsageError(f"unknown scenario parameters: {sorted(params)}")
     network = builtin() if network is None else network
-    basis = _parse_atom_basis(atom_basis)
+    basis = _parse_atom_basis("z" if atom_basis is None else atom_basis)
     return Scenario(name, network, MeasurementContext({a.id: basis for a in network.atoms()}), post, extra)
 
 
@@ -268,9 +270,9 @@ def _run(scenario: Scenario, trials: int | None = None, seed: int | None = None,
         if trials is None:
             result = chsh(scenario.network, settings, post)
             outcomes = [
-                {"outcome": f"{key}:{c.outcome.label}", "count": None, "probability": c.weight / len(result.distributions)}
+                {"outcome": f"{key}:{o.label}", "count": None, "probability": w / len(result.distributions)}
                 for key, conditional in result.distributions.items()
-                for c in conditional.candidates
+                for o, w in zip(conditional.outcomes, conditional.weights)
             ]
         else:
             result = chsh_monte_carlo(scenario.network, settings, trials, seed, post, workers)
@@ -288,20 +290,19 @@ def _run(scenario: Scenario, trials: int | None = None, seed: int | None = None,
     else:
         dist = enumerate_transactions(scenario.network, scenario.context)
         reported = post_select(dist, post)[0] if post else dist
-        cands = reported.candidates
         if trials is None:
             if post:
                 derived["selection_probability"] = dist.photon_marginal().get(post, 0.0)
             if (correlation := pair_correlation(scenario.network, reported)) is not None:
                 derived["correlation"] = correlation
-            counts = [None] * len(cands)
+            counts = [None] * len(reported.outcomes)
         else:
             counts = sample_flat(reported, trials, seed, workers=workers).tolist()
             # observed frequencies stand in for the weights, so the marginals are sampled ones
-            cands = tuple(c._replace(weight=k / trials) for c, k in zip(cands, counts))
-            reported = replace(reported, candidates=cands)
+            reported = replace(reported, weights=tuple(k / trials for k in counts))
         outcomes = [
-            {"outcome": c.outcome.label, "count": k, "probability": c.weight} for c, k in zip(cands, counts)
+            {"outcome": o.label, "count": k, "probability": w}
+            for o, w, k in zip(reported.outcomes, reported.weights, counts)
         ]
         photon_probabilities = reported.photon_marginal()
         absorbed_probability = reported.absorbed_probability()

@@ -454,3 +454,12 @@ def test_tensor_of_several_states_nests_term_by_term():
         assert terms(t.tensor(*bras)) == terms(t.tensor(t.tensor(*bras[:2]), bras[2]))
     with pytest.raises(StructuralError):
         t.tensor(photon, atom, t.dual(excited))
+
+
+def test_a_map_branch_outside_the_basis_is_refused():
+    from tisim.amplitudes import _apply_symbol_map
+
+    state = unit((PHOTON,), ("s",))
+    for mapping in ({"s": (("x", 1.0),)}, {"s": (("u", 0.6), ("nowhere", 0.8))}):
+        with pytest.raises(StructuralError, match=r"symbol '(x|nowhere)' is not in the basis"):
+            _apply_symbol_map(state, 0, mapping)

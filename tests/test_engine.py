@@ -256,7 +256,7 @@ def test_streamed_counts_equal_one_shot_reference():
     seed, start, trials = 2**64 - 3, 4 * CHUNK + 6, 2 * CHUNK + 1_001  # three chunks, start % 4 == 2
     u = uniforms(seed, 0, start, trials)
     for cands in lists:
-        dist = OutcomeDistribution(cands, provenance="test")
+        dist = OutcomeDistribution(*zip(*cands), provenance="test")
         assert np.array_equal(t.sample_flat(dist, trials, seed, start), reference_counts(cands, u))
         # uniforms exactly on, just below and just above every cut point resolve as searchsorted does
         cum = np.cumsum([c.weight for c in cands])

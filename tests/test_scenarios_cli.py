@@ -678,3 +678,46 @@ def test_cli_rejects_mistyped_description_fields(description, message, command, 
     assert cli_main([*command, "--network", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "qle-chsh", "--exact", "--atom-basis", "y"], "qle-chsh measures each atom at its angles"),
+        (["run", "qle-chsh", "--trials", "100", "--atom-basis", "z"], "qle-chsh measures each atom at its angles"),
+        (["run", "qle", "--exact", "--seed", "5", "--workers", "3"], "--seed and --workers apply only to Monte Carlo"),
+        (["run", "qle", "--exact", "--seed", "0"], "--seed and --workers apply only to Monte Carlo"),
+        (["run", "hardy-ifm", "--workers", "1"], "--seed and --workers apply only to Monte Carlo"),
+        (["run", "qle-chsh", "--trials", "3"], "need at least one pair per setting"),
+        (["run", "qle", "--exact", "--atom-basis", ""], "unknown atom basis ''"),
+    ],
+)
+def test_cli_options_a_run_would_ignore_exit_two_with_one_line(argv, message, capsys):
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1 and message in captured.err
+
+
+def test_chsh_scenario_refuses_an_atom_basis():
+    with pytest.raises(UsageError, match="takes no atom basis"):
+        build_scenario("qle-chsh", atom_basis="z")
+
+
+def test_monte_carlo_seed_and_workers_default_to_zero_and_one(capsys):
+    assert cli_main(["run", "qle", "--trials", "1000"]) == 0
+    default = json.loads(capsys.readouterr().out)
+    assert cli_main(["run", "qle", "--trials", "1000", "--seed", "0", "--workers", "1"]) == 0
+    explicit = json.loads(capsys.readouterr().out)
+    assert RunReport(**default).payload_equal(RunReport(**explicit))
+
+
+@pytest.mark.parametrize("content", ["[1]", '"x"'])
+@pytest.mark.parametrize("command", [["run", "qle", "--exact"], ["path", "|L-S1-D>"]])
+def test_cli_network_file_that_is_not_an_object_exits_two(content, command, tmp_path, capsys):
+    path = tmp_path / "net.json"
+    path.write_text(content)
+    assert cli_main([*command, "--network", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: network description must be a JSON object\n"

@@ -370,7 +370,7 @@ def test_a_stage_that_fires_without_mass_is_refused(monkeypatch):
     born[table.where[0]] = 0.0  # box A can still fire, but its candidates weigh nothing
     monkeypatch.setitem(net._stage_tables, engine._atom_bases(net, ctx), table._replace(born=born))
     fires = next(trial for trial in range(100) if uniform(1, 1, trial) < table.fractions[0])
-    empty = t.OutcomeDistribution(tuple(c._replace(weight=0.0) for c in table.flat), "test")
+    empty = t.OutcomeDistribution(table.flat.outcomes, (0.0,) * len(table.flat.outcomes), table.flat.amplitudes, "test")
     for call in (
         lambda: t.resolve_hierarchical(net, ctx, 1, fires),
         lambda: t.sample_hierarchical(net, ctx, 100, 1),
