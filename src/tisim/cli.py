@@ -13,21 +13,13 @@ from .errors import SimulatorError, UsageError
 from .network import load_network
 from .pathnotation import amplitude, format_expression, parse as parse_paths, sum_amplitudes
 from .scenarios import (
+    SCENARIOS,
     build_scenario,
     qle_network,
     run_exact,
     run_mc,
-    scenario_names,
     verification_checks,
 )
-
-_DESCRIPTIONS = {
-    "ev-bomb": "dark-port interferometer with an optional obstruction (bomb=present|absent)",
-    "hardy-ifm": "interaction-free measurement with a boxed atom on one arm",
-    "qle": "two boxed atoms straddling the arms; dark-port detections entangle them",
-    "qle-two-laser": "the two-atom experiment fed by two coherent sources, no first splitter",
-    "qle-chsh": "two-atom experiment at four Bloch settings, reported as a CHSH trial",
-}
 
 
 @functools.lru_cache(maxsize=None)  # built once per process: parsing does not change it
@@ -35,9 +27,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tisim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list", help="list builtin scenarios")
+    sub.add_parser("list", help="list builtin scenarios").set_defaults(handler=_cmd_list)
 
     run = sub.add_parser("run", help="run a scenario exactly or by Monte Carlo")
+    run.set_defaults(handler=_cmd_run)
     run.add_argument("scenario", help="scenario name (see 'tisim list')")
     run.add_argument("--exact", action="store_true", help="emit the analytic distribution")
     run.add_argument("--trials", type=int, default=None, help="Monte Carlo trial count")
@@ -50,9 +43,11 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--bomb", default=None, choices=("present", "absent"), help="ev-bomb only")
 
     verify = sub.add_parser("verify", help="run the builtin amplitude and echo checks")
+    verify.set_defaults(handler=_cmd_verify)
     verify.add_argument("--quiet", action="store_true", help="suppress per-check lines")
 
     path = sub.add_parser("path", help="evaluate a path-notation expression")
+    path.set_defaults(handler=_cmd_path)
     path.add_argument("expression")
     path.add_argument("--network", default=None, help="network description file (default: builtin qle)")
     path.add_argument(
@@ -65,9 +60,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_list() -> int:
-    for name in scenario_names():
-        print(f"{name:14s} {_DESCRIPTIONS[name]}")
+def _cmd_list(args) -> int:
+    for name, description in SCENARIOS.items():
+        print(f"{name:14s} {description}")
     return 0
 
 
@@ -89,10 +84,10 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_verify(quiet: bool) -> int:
+def _cmd_verify(args) -> int:
     checks = verification_checks()
     failed = [c for c in checks if not c.passed]
-    if not quiet:
+    if not args.quiet:
         for c in checks:
             status = "PASS" if c.passed else "FAIL"
             print(f"{status} {c.name}: observed {c.observed} | expected {c.expected}")
@@ -123,18 +118,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "list":
-            return _cmd_list()
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "verify":
-            return _cmd_verify(args.quiet)
-        if args.command == "path":
-            return _cmd_path(args)
+        return args.handler(args)
     except SimulatorError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -27,7 +27,7 @@ import graphlib
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property, reduce
 from pathlib import Path
 from typing import Mapping
@@ -832,33 +832,27 @@ def _ket_from_json(eid: str, space: Space, params: Mapping, key: str, bra: bool 
         raise ValidationError(f"element {eid!r}: field {key!r}: {err}") from err
 
 
+# each element variant a description file names, and the class it builds
+_VARIANTS = {
+    "emitter": Emitter, "beam-splitter": BeamSplitter, "mirror": Mirror, "atom-box": AtomBox, "detector": Detector
+}
+
+
 def network_to_dict(network: Network) -> dict:
+    """The description of ``network``: a non-emitter's ``params`` are its fields after ``id`` and ``rank``."""
+    variant_of = {cls: name for name, cls in _VARIANTS.items()}
     elements = []
     for e in network.ordered():
-        item: dict = {"id": e.id, "rank": e.rank}
         if isinstance(e, Emitter):
-            item["variant"] = "emitter"
-            item["params"] = {
-                "subsystems": [s.id for s in e.state.space],
-                "state": _ket_to_json(e.state),
-            }
-        elif isinstance(e, BeamSplitter):
-            item["variant"] = "beam-splitter"
-            item["params"] = {"inputs": list(e.inputs), "outputs": list(e.outputs)}
-        elif isinstance(e, Mirror):
-            item["variant"] = "mirror"
-            item["params"] = {
-                "input": e.input,
-                "output": e.output,
-                "phase": {"re": complex(e.phase).real, "im": complex(e.phase).imag},
-            }
-        elif isinstance(e, AtomBox):
-            item["variant"] = "atom-box"
-            item["params"] = {"atom": e.atom, "blocking": e.blocking, "path": e.path, "level": e.level}
-        elif isinstance(e, Detector):
-            item["variant"] = "detector"
-            item["params"] = {"input": e.input}
-        elements.append(item)
+            params = {"subsystems": [s.id for s in e.state.space], "state": _ket_to_json(e.state)}
+        else:
+            params = {}
+            for f in fields(e)[2:]:
+                value = getattr(e, f.name)
+                if f.name == "phase":
+                    value = {"re": complex(value).real, "im": complex(value).imag}
+                params[f.name] = list(value) if isinstance(value, tuple) else value
+        elements.append({"id": e.id, "rank": e.rank, "variant": variant_of[type(e)], "params": params})
 
     produced = _symbol_table(network)[0]
     edges = [
@@ -895,6 +889,16 @@ def network_from_dict(data: Mapping) -> Network:
     return network
 
 
+def _param(eid: str, where: str, params: Mapping, name: str):
+    """Field ``name`` of a non-emitter element, read from its ``params``."""
+    if name in ("inputs", "outputs"):
+        return tuple(_items(where, params, name, "a string"))
+    if name == "phase":
+        phase = _field(where, params, "phase", "an object", {"re": 1.0, "im": 0.0})
+        return _finite(eid, *(_field(f"{where} phase", phase, key, "a number") for key in ("re", "im")))
+    return _field(where, params, name, "a string")
+
+
 def _parse_network(data: Mapping) -> Network:
     """The network a description holds; every field is type-checked as it is read."""
     if data.get("schema", _SCHEMA) != _SCHEMA:
@@ -914,8 +918,8 @@ def _parse_network(data: Mapping) -> Network:
         variant = _field(where, item, "variant", "a string")
         params = _field(where, item, "params", "an object", {})
         rank = _field(where, item, "rank", "an integer")
-        text = lambda key: _field(where, params, key, "a string")
-        if variant == "emitter":
+        cls = _VARIANTS.get(variant)
+        if cls is Emitter:
             sids = _items(where, params, "subsystems", "a string")
             for i, sid in enumerate(sids):
                 if sid not in by_id:
@@ -928,17 +932,8 @@ def _parse_network(data: Mapping) -> Network:
                 if not approx_equal(cw, dual(state)):
                     raise ValidationError(f"emitter {eid!r}: a filter must be the dual of the emitted state")
             elements.append(Emitter(eid, rank, state))
-        elif variant == "beam-splitter":
-            inputs, outputs = (tuple(_items(where, params, key, "a string")) for key in ("inputs", "outputs"))
-            elements.append(BeamSplitter(eid, rank, inputs, outputs))
-        elif variant == "mirror":
-            phase = _field(where, params, "phase", "an object", {"re": 1.0, "im": 0.0})
-            phase = _finite(eid, *(_field(f"{where} phase", phase, key, "a number") for key in ("re", "im")))
-            elements.append(Mirror(eid, rank, text("input"), text("output"), phase))
-        elif variant == "atom-box":
-            elements.append(AtomBox(eid, rank, *map(text, ("atom", "blocking", "path", "level"))))
-        elif variant == "detector":
-            elements.append(Detector(eid, rank, text("input")))
+        elif cls is not None:
+            elements.append(cls(eid, rank, *(_param(eid, where, params, f.name) for f in fields(cls)[2:])))
         else:
             raise ValidationError(f"unknown element variant {variant!r}")
     return Network(

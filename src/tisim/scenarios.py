@@ -159,8 +159,18 @@ def _parse_atom_basis(spec: str) -> AtomBasis:
     raise UsageError(f"unknown atom basis {spec!r} (expected z, y, or bloch:theta,phi)")
 
 
+# each builtin scenario and the line ``tisim list`` prints for it
+SCENARIOS = {
+    "ev-bomb": "dark-port interferometer with an optional obstruction (bomb=present|absent)",
+    "hardy-ifm": "interaction-free measurement with a boxed atom on one arm",
+    "qle": "two boxed atoms straddling the arms; dark-port detections entangle them",
+    "qle-two-laser": "the two-atom experiment fed by two coherent sources, no first splitter",
+    "qle-chsh": "two-atom experiment at four Bloch settings, reported as a CHSH trial",
+}
+
+
 def scenario_names() -> tuple[str, ...]:
-    return ("ev-bomb", "hardy-ifm", "qle", "qle-two-laser", "qle-chsh")
+    return tuple(SCENARIOS)
 
 
 def build_scenario(name: str, network: Network | None = None, **params) -> Scenario:

@@ -432,6 +432,26 @@ def test_term_products_sum_to_inner_with_the_tensor_product():
         assert abs(summed - t.inner(bra, t.tensor(t.tensor(*factors[:2]), factors[2]))) < 1e-15
 
 
+def test_term_products_refuses_factors_that_do_not_split_the_state():
+    from tisim.amplitudes import _term_products
+
+    bra = t.dual(unit((PHOTON, SPIN1), ("s", "+")))
+    photon, spin = unit((PHOTON,), ("s",)), unit((SPIN1,), ("+",))
+    for factors in ([photon], [photon, photon, spin]):  # atom1 missing; photon twice
+        with pytest.raises(StructuralError, match="do not cover the state's subsystems once each"):
+            _term_products(bra, factors)
+    wide = SubsystemSpec(SPIN1.id, SPIN1.kind, (*SPIN1.basis, "x"))  # atom1's id, another basis
+    with pytest.raises(StructuralError, match="a factor's subsystems differ from the state's"):
+        _term_products(bra, [photon, unit((wide,), ("+",))])
+
+
+def test_approx_equal_is_false_across_types_or_spaces():
+    ket = unit((PHOTON,), ("s",))
+    assert t.approx_equal(ket, unit((PHOTON,), ("s",)))
+    assert not t.approx_equal(ket, t.dual(ket))
+    assert not t.approx_equal(ket, unit((SubsystemSpec("photon", "photon-path", ("s",)),), ("s",)))
+
+
 def test_coded_states_keep_the_public_checks():
     with pytest.raises(StructuralError, match="not in the basis"):
         t.Ket((PHOTON,), {("x",): 1.0})

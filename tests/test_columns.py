@@ -8,6 +8,8 @@ import tisim as t
 from tisim.engine import AtomBasis, MeasurementContext, Outcome, TransactionCandidate
 from tisim.scenarios import build_scenario, run_exact, run_mc, scenario_names
 
+pytestmark = pytest.mark.simd
+
 
 def builtin_networks():
     qle = t.qle_network()

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+pytestmark = pytest.mark.simd
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 GOLDEN = Path(__file__).with_name("golden_demos.json")
 

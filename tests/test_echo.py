@@ -133,6 +133,7 @@ def atom_bra(spec, basis, symbol):
     return t.Bra((spec,), {(z,): b for z, b in zip(spec.basis, row)})
 
 
+@pytest.mark.simd
 def test_backward_propagate_reads_superposed_bras_and_scaled_anchors(hardy, qle, bomb_present):
     rng = np.random.default_rng(31)
     nets = [hardy, qle, bomb_present, t.two_laser_variant(qle)] + [random_network(rng, i) for i in range(20)]
@@ -181,6 +182,7 @@ def test_echoes_on_two_threads_match_serial(qle):
     assert results == [serial, serial]
 
 
+@pytest.mark.simd
 @pytest.mark.parametrize("k", [5, 6, 7, 8, 9])
 def test_born_equals_echo_on_every_cascade_candidate(k):
     net = cascade(k, 0)

@@ -18,7 +18,7 @@ from tisim.engine import (
     _count,
 )
 from tisim.errors import ContractError, UsageError, ValidationError
-from tisim.rng import uniform, uniforms
+from tisim.rng import _generator, uniform, uniforms
 from netgen import random_network
 
 RT2 = math.sqrt(2.0)
@@ -287,6 +287,7 @@ def test_sample_hierarchical_streams_in_chunks(qle):
         assert t.sample_hierarchical(qle, ctx, trials, seed).counts == tuple(expected.tolist())
 
 
+@pytest.mark.simd
 def test_counts_do_not_depend_on_the_block_size(monkeypatch, qle):
     import tisim.engine as engine
 
@@ -567,6 +568,15 @@ def test_streams_differ_by_seed_and_lane():
     assert not np.array_equal(base, uniforms(1, 1, 0, 64))
 
 
+def test_empty_stream_slices_are_empty_at_both_ends_of_the_stream():
+    # at 2**66 the general path would start the block counter at 2**64, past its one 64-bit word
+    for start in (0, 2**66):
+        empty = uniforms(1, 0, start, 0)
+        assert empty.dtype == np.float64 and empty.shape == (0,)
+    with pytest.raises(OverflowError):
+        _generator(1, 0, 2**64)
+
+
 def hardy_with_second_box():
     """hardy with a second box on atom1 (blocking -, on arm u) sharing its level."""
     hardy = t.hardy_network()
@@ -616,6 +626,7 @@ def reference_candidates(state, network, excited_box=None):
     return sorted(out, key=lambda c: (c.outcome.photon, tuple(sym for _, sym in c.outcome.atoms)))
 
 
+@pytest.mark.simd
 def test_candidates_match_the_per_term_reference_on_large_states():
     """The whole table against a per-stage reference: each stage's ket rebased
     atom by atom with ``amplitudes.rebase`` (skipping the atom its box leaves
@@ -652,3 +663,12 @@ def test_candidates_match_the_per_term_reference_on_large_states():
                 (c.outcome, repr(c.weight), repr(c.amplitude)) for c in want
             ], net.name
     assert len(t.forward_propagate(cascade(7, 0)).continuing) > _SHARE_FROM
+
+
+def test_library_calls_outside_their_contract_raise_one_named_error(hardy):
+    with pytest.raises(ValidationError, match="unknown atom basis 'w'"):
+        AtomBasis("w").matrix()
+    with pytest.raises(ContractError, match="CHSH grid search needs a two-atom post-selected state"):
+        t.chsh_optimal_settings(hardy)
+    with pytest.raises(ContractError, match="contextuality check needs a two-box network"):
+        t.contextuality_verdicts(hardy)

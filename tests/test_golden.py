@@ -19,6 +19,7 @@ import pytest
 
 from tisim import cli
 
+pytestmark = pytest.mark.simd
 GOLDEN = Path(__file__).with_name("golden_exact.json")
 
 

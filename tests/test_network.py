@@ -337,6 +337,19 @@ def test_two_laser_requires_single_source_pattern(qle):
         t.two_laser_variant(twin)
 
 
+def test_two_laser_requires_one_photon_symbol_feeding_one_splitter(bomb_absent):
+    photon = bomb_absent.photon
+
+    def with_source(state):
+        elements = tuple(Emitter("L", 0, state) if e.id == "L" else e for e in bomb_absent.elements)
+        return dataclasses.replace(bomb_absent, elements=elements)
+
+    with pytest.raises(ContractError, match="photon emitter must emit a single symbol"):
+        t.two_laser_variant(with_source(t.Ket((photon,), {("s",): 0.6, ("u",): 0.8})))
+    with pytest.raises(ContractError, match="no beam splitter fed exclusively by the photon emitter"):
+        t.two_laser_variant(with_source(unit((photon,), ("u",))))  # S2 is fed by u and v
+
+
 # -- description files ----------------------------------------------------------------
 
 

@@ -65,6 +65,24 @@ def test_parse_errors_carry_positions(text, position):
     assert err.value.position == position
 
 
+def test_reflection_marker_needs_a_label():
+    with pytest.raises(PathSyntaxError, match="expected a label after '_'") as err:
+        t.parse("|_>")
+    assert err.value.position == 2
+
+
+@pytest.mark.parametrize("minus", ["-", "\N{MINUS SIGN}"])
+def test_leading_minus_negates_the_first_term(minus):
+    (term,) = t.parse(f"{minus}|L-S1-B-S2-D>").terms
+    assert term.coefficient == -1
+
+
+def test_coefficients_off_the_axes_are_not_printed():
+    (term,) = t.parse("|L-S1-D>").terms
+    with pytest.raises(StructuralError, match="not representable in the grammar"):
+        format_term(PathKet(term.segments, 1 + 1j))
+
+
 # -- canonical printing ---------------------------------------------------------
 
 

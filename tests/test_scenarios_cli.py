@@ -349,6 +349,32 @@ def with_foreign_filter() -> dict:
     return data
 
 
+def qle_element(data: dict, eid: str) -> dict:
+    return next(item for item in data["elements"] if item["id"] == eid)
+
+
+def with_photon_declared_last() -> dict:
+    data = t.network_to_dict(t.qle_network())
+    data["subsystems"].append(data["subsystems"].pop(0))
+    return data
+
+
+def with_atom2_source_on_atom1() -> dict:
+    # atom2's source re-pointed at atom1, so atom1 is emitted twice and atom2 never
+    data = t.network_to_dict(t.qle_network())
+    params = qle_element(data, "atom2-source")["params"]
+    params["subsystems"] = ["atom1", "atom1-level"]
+    for term in params["state"]:
+        term["label"] = {"atom1": term["label"]["atom2"], "atom1-level": term["label"]["atom2-level"]}
+    return data
+
+
+def with_box_blocking(symbol: str) -> dict:
+    data = t.network_to_dict(t.qle_network())
+    qle_element(data, "A")["params"]["blocking"] = symbol
+    return data
+
+
 @pytest.mark.parametrize(
     "description, message",
     [
@@ -360,6 +386,9 @@ def with_foreign_filter() -> dict:
         (lambda: t.network_to_dict(hardy_emitting_excited_levels()), "emitter-level [atom1-source]"),
         (lambda: t.network_to_dict(qle_emitting_level_first()), "emitter-order [atom1-source]"),
         (lambda: t.network_to_dict(hardy_two_source_unequal_photon_spaces()), "photon-source-space"),
+        (with_photon_declared_last, "subsystem-order"),
+        (with_atom2_source_on_atom1, "emitter-coverage [atom2-source]: subsystem 'atom1' emitted twice"),
+        (lambda: with_box_blocking("x"), "box-blocking [A]"),
     ],
 )
 @pytest.mark.parametrize("command", [["run", "qle", "--exact"], ["run", "qle", "--trials", "100"]])

@@ -298,6 +298,7 @@ def absorbing_everything():
     )
 
 
+@pytest.mark.simd
 def test_hierarchical_weights_match_the_per_candidate_loop_bit_for_bit():
     qle = t.qle_network()
     never, dark = single_spin(qle, "atom1", "-"), absorbing_everything()  # box A blocks "+": it never absorbs
