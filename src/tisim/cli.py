@@ -1,12 +1,13 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 usage error, 3 failed verification.
+Exit codes: 0 success, 1 output pipe closed, 2 usage error, 3 failed verification.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 from .errors import SimulatorError, UsageError
@@ -118,10 +119,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # so a closed pipe raises here, not in the flush at exit
+        return code
     except SimulatorError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # the reader went away: devnull takes what is left, so the exit flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

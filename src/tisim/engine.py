@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -497,6 +496,7 @@ def _tally(table: _StageTable, seed: int, lane: int, start: int, trials: int, wo
 
     if threads == 1:
         return count(blocks)
+    from concurrent.futures import ThreadPoolExecutor  # here: a process that starts no thread skips its 0.5 MiB import
     # numpy's Philox fill and comparisons release the GIL, so threads overlap; thread j
     # takes every threads-th block from j, so the pending work does not grow with the trials
     with ThreadPoolExecutor(max_workers=threads) as pool:

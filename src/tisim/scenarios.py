@@ -16,6 +16,7 @@ The builtin family:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
@@ -173,8 +174,17 @@ def scenario_names() -> tuple[str, ...]:
     return tuple(SCENARIOS)
 
 
+@functools.lru_cache(maxsize=None)  # one network per scenario: qle-chsh's four tables would evict qle's
+def _builtin_network(name: str, bomb: str | None) -> Network:
+    if name == "ev-bomb":
+        return ev_bomb_network(present=bomb == "present")
+    network = hardy_network() if name == "hardy-ifm" else qle_network()
+    return two_laser_variant(network) if name == "qle-two-laser" else network
+
+
 def build_scenario(name: str, network: Network | None = None, **params) -> Scenario:
-    """Construct a builtin scenario, on ``network`` in place of its builtin one if given.
+    """Construct a builtin scenario on ``network`` if given, else on the one network per process that its
+    runs share (built on first use; ``qle_network()`` and the other constructors build fresh ones).
 
     Common params: ``atom_basis`` ("z" | "y" | "bloch:theta,phi" in degrees; every
     atom is measured in it), ``post_select`` ("D" | "C" | None).  ``ev-bomb`` takes
@@ -184,30 +194,24 @@ def build_scenario(name: str, network: Network | None = None, **params) -> Scena
     atom_basis = params.pop("atom_basis", None)
     post = params.pop("post_select", None)
     extra: dict = {}
+    if name not in SCENARIOS:
+        raise UsageError(f"unknown scenario {name!r}; choose from {', '.join(scenario_names())}")
     if name == "ev-bomb":
         bomb = params.pop("bomb", "present")
         if bomb not in ("present", "absent"):
             raise UsageError(f"bomb must be 'present' or 'absent', got {bomb!r}")
-        builtin, extra = lambda: ev_bomb_network(present=bomb == "present"), {"bomb": bomb}
-    elif name == "hardy-ifm":
-        builtin = hardy_network
-    elif name == "qle":
-        builtin = qle_network
-    elif name == "qle-two-laser":
-        builtin = lambda: two_laser_variant(qle_network())
+        extra = {"bomb": bomb}
     elif name == "qle-chsh":
         angles = tuple(params.pop("angles", DEFAULT_CHSH_ANGLES_DEG))
         if len(angles) != 4:
             raise UsageError("qle-chsh needs exactly four angles (a, a', b, b') in degrees")
         if atom_basis is not None:
             raise UsageError("qle-chsh measures each atom at its angles; it takes no atom basis")
-        builtin, post = qle_network, post or "D"
+        post = post or "D"
         extra = {"angles": angles, "settings": chsh_settings_from_degrees(angles)}
-    else:
-        raise UsageError(f"unknown scenario {name!r}; choose from {', '.join(scenario_names())}")
     if params:
         raise UsageError(f"unknown scenario parameters: {sorted(params)}")
-    network = builtin() if network is None else network
+    network = _builtin_network(name, extra.get("bomb")) if network is None else network
     basis = _parse_atom_basis("z" if atom_basis is None else atom_basis)
     return Scenario(name, network, MeasurementContext({a.id: basis for a in network.atoms()}), post, extra)
 

@@ -1,5 +1,7 @@
+import errno
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -488,6 +490,45 @@ def test_cli_verify_exit_three_on_failure(monkeypatch, capsys):
     assert "FAIL stub" in capsys.readouterr().out
 
 
+class _ClosedPipe:
+    """A stdout whose reader has gone: ``failing`` ("write" or "flush") raises, and its descriptor is ``target``'s."""
+
+    def __init__(self, target, failing):
+        self.target, self.failing = target, failing
+
+    def write(self, text):
+        if self.failing == "write":
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+        return len(text)
+
+    def flush(self):
+        if self.failing == "flush":  # a pipe's stdout buffers what it is given, so the loss shows here
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    def fileno(self):
+        return self.target.fileno()
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+def test_cli_exits_one_without_a_traceback_into_a_closed_pipe(failing, monkeypatch, capsys, tmp_path):
+    with open(tmp_path / "stdout", "w") as target:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(target, failing))
+        assert cli_main(["run", "qle", "--exact"]) == 1
+        assert os.path.samestat(os.fstat(target.fileno()), os.stat(os.devnull))  # the exit's flush goes nowhere
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv", [["run", "qle", "--exact"], ["verify"]])
+def test_module_exits_one_without_a_traceback_into_a_closed_pipe(argv):
+    read, write = os.pipe()
+    os.close(read)  # closed before the process starts, so every write it makes fails
+    try:
+        proc = subprocess.run([sys.executable, "-m", "tisim", *argv], stdout=write, stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
 # -- Monte Carlo boundaries -----------------------------------------------------------------
 
 
@@ -515,13 +556,24 @@ class _InlinePool:
 @pytest.fixture
 def inline_pool(monkeypatch):
     """The engine's thread pool replaced by ``_InlinePool``, on a machine with 3 CPUs."""
+    import concurrent.futures
+
     import tisim.engine as engine
 
     monkeypatch.setattr(_InlinePool, "sizes", [])
     monkeypatch.setattr(_InlinePool, "parts", [])
-    monkeypatch.setattr(engine, "ThreadPoolExecutor", _InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _InlinePool)  # the engine imports it when it starts threads
     monkeypatch.setattr(engine.os, "cpu_count", lambda: 3)
     return _InlinePool
+
+
+def test_a_process_that_starts_no_thread_does_not_import_the_pool():
+    code = (
+        "import sys; from tisim.cli import main; from tisim.scenarios import build_scenario, run_mc;"
+        "main(['run', 'qle', '--exact']); main(['verify', '--quiet']); run_mc(build_scenario('qle'), 1000, 3, workers=2);"
+        "sys.exit('concurrent.futures' in sys.modules)"
+    )
+    assert subprocess.run([sys.executable, "-c", code], capture_output=True).returncode == 0
 
 
 def test_worker_threads_are_capped_by_cpus_and_chunks(inline_pool):
