@@ -27,12 +27,13 @@ import numpy as np
 
 from . import rng
 from .amplitudes import (
+    PRUNE,
     TOL,
     Ket,
     Space,
     SubsystemSpec,
+    _mul,
     _squared_moduli,
-    rebase,
 )
 from .errors import ContractError, StructuralError, UsageError, ValidationError
 from .network import Network, _source_couplings, confirmation_wave
@@ -76,6 +77,8 @@ class AtomBasis:
             theta, phi = self.theta, self.phi
         else:
             raise ValidationError(f"unknown atom basis {self.kind!r}")
+        if not (math.isfinite(theta) and math.isfinite(phi)):
+            raise ValidationError(f"atom basis angles ({theta!r}, {phi!r}) are not finite")
         c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
         e = complex(math.cos(phi), math.sin(phi))
         return np.array([[c, e * s], [s, -e * c]], dtype=complex)
@@ -157,8 +160,9 @@ class OutcomeDistribution:
     its outcome, its weight as a Python float, its amplitude as a Python complex),
     with optional sampled counts.
 
-    ``atom_space`` records the (possibly rebased) atom-spin specs the outcome
-    symbols refer to, so post-selected states can be rebuilt.
+    ``atom_space`` records each atom's spin spec in the context's basis (its
+    symbols are ``AtomBasis.symbols``), which the outcome symbols refer to, so
+    post-selected states can be rebuilt.
     """
 
     outcomes: tuple[Outcome, ...]
@@ -202,54 +206,6 @@ def _rows(cls, *columns) -> tuple:
     return tuple(map(tuple.__new__, itertools.repeat(cls), zip(*columns)))
 
 
-# from this many terms on, candidates share atom tuples: in a timing loop over
-# 6-atom states both ways took equal time at 256 terms, sharing was 1.7x faster
-# at 512 and 2.8x at 1024, building per term 2.7x faster at 64
-_SHARE_FROM = 256
-
-
-def _atom_readings(symbols, digits) -> list:
-    """Each term's ``Outcome.atoms`` tuple, from its reading digits and their
-    tables (``_outcome_tables``; the photon's first).  On large states, terms
-    that read the atoms alike share one tuple, which saves building tens of thousands."""
-    if len(symbols) == 1:
-        return [()] * len(digits[0])
-    if len(digits[0]) <= _SHARE_FROM:
-        return list(zip(*(table[d].tolist() for table, d in zip(symbols[1:], digits[1:]))))
-    reading = 0  # fits, as the codes do: an atom read in two bases has a box, whose level the codes carry
-    for table, d in zip(symbols[1:], digits[1:]):
-        reading = reading * len(table) + d
-    shared, which = np.unique(reading, return_inverse=True)
-    pairs = []
-    for table in reversed(symbols[1:]):
-        pairs.append(table[shared % len(table)])
-        shared = shared // len(table)
-    return np.fromiter(zip(*reversed(pairs)), dtype=object, count=len(pairs[0]))[which].tolist()
-
-
-@lru_cache(maxsize=256)
-def _outcome_tables(names: tuple[str, ...], readings: tuple[tuple[SubsystemSpec, ...], ...]):
-    """Per outcome slot (photon, then atoms): what each reading digit reads as in an
-    ``Outcome`` (the photon's name, an atom's ``(id, symbol)`` pair) and its rank.  An
-    atom's reading digits run over the symbols of its specs in turn, each spec's ranked
-    among themselves: a sort compares only readings of one spec."""
-    values = [names] + [[(s.id, sym) for s in specs for sym in s.basis] for specs in readings]
-    symbols = [np.empty(len(items), dtype=object) for items in values]
-    for table, items in zip(symbols, values):
-        for k, item in enumerate(items):
-            table[k] = item  # one by one, so numpy keeps the pairs as tuples
-    ranks = [_ranks(names)] + [np.concatenate([_ranks(s.basis) for s in specs]) for specs in readings]
-    for table in symbols + ranks:
-        table.setflags(write=False)  # cached and shared by every caller
-    return symbols, ranks
-
-
-def _ranks(strings: Sequence[str]) -> np.ndarray:
-    """Each string's position among the distinct strings in sorted order."""
-    position = {s: r for r, s in enumerate(sorted(set(strings)))}
-    return np.array([position[s] for s in strings], dtype=np.int64)
-
-
 def _atom_bases(network: Network, context: MeasurementContext) -> tuple[AtomBasis, ...]:
     """The context's basis for each atom of the network, in declaration order;
     a context that names an atom the network lacks is a ``StructuralError``."""
@@ -289,63 +245,93 @@ def _hierarchy_stages(network: Network, context: MeasurementContext) -> _StageTa
     return table
 
 
+def _turn(re: np.ndarray, im: np.ndarray, axis: int, bras: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One atom's change of basis on a dense register: along ``axis`` (length 2), entry n
+    becomes ``0.0 + f[n,0]·a₀ + f[n,1]·a₁`` in split float64 (``_mul``) for the bras ``f``,
+    their columns in the axis's order.  As in ``rebase``, factors below ``PRUNE`` are skipped
+    and results below it are zeroed; and as it adds at most two products, and IEEE addition
+    of two terms commutes, this is ``rebase`` bit for bit."""
+    at = lambda n: (slice(None),) * axis + (n,)
+    out_re, out_im = np.zeros_like(re), np.zeros_like(im)
+    for n, row in enumerate(bras.tolist()):
+        for k, f in enumerate(row):
+            if abs(f) >= PRUNE:
+                p_re, p_im = _mul(f.real, f.imag, re[at(k)], im[at(k)])
+                out_re[at(n)] += p_re
+                out_im[at(n)] += p_im
+    small = (np.abs(out_re) < PRUNE) & (np.abs(out_im) < PRUNE)  # no other entry's hypot is below PRUNE
+    small[small] = np.hypot(out_re[small], out_im[small]) < PRUNE  # the hypot of Python's abs(z)
+    out_re[small] = out_im[small] = 0.0
+    return out_re, out_im
+
+
 def _stage_table(network: Network, bases: tuple[AtomBasis, ...]) -> _StageTable:
     """The network's one offer wave (``Network._offer_wave``), split at the boxes
     and read in the atoms' ``bases``: per box in rank order, the probability that
     it absorbs a photon reaching it and its candidates, then the candidates of
     the wave that passes every box, with unconditioned Born weights.
 
-    The stages run as one coded ket (no photon digit spans two, so no rebase
-    merges terms across them), and each atom is rebased once, on the terms that
-    do not leave it excited: those keep its z symbols, read through digits past
-    its context's.  One stable sort by rank on (photon name, atom symbols) puts
-    every candidate in canonical order (validated emitters leave no ties), so
-    each stage's positions rise in its own order.  Weights that do not total 1
-    within ``TOL`` are a ``ContractError``."""
+    The wave at the terminals is a dense register (no element changes a spin digit):
+    a row per terminal in name order, an axis per atom in its symbols' string order.
+    Each atom read outside z turns on its axis (``_turn``) on every row but its own
+    boxes', which leave it excited and read it in z.  As ``y+ < y-`` and ``n+ < n-``, the
+    nonzero entries in C order are the candidates in canonical order, so each
+    stage's positions rise.  A total weight off 1 by over ``TOL`` is a ``ContractError``."""
     plan, trace = network._plan, network._offer_wave
-    kets = (*(ket for _, ket in trace.absorbed), trace.continuing)
-    codec = trace.continuing._codec
-    codes, re, im = (np.concatenate([getattr(ket, part) for ket in kets]) for part in ("_codes", "_re", "_im"))
-    # per photon digit: the stage its terms are in, and the atom they leave excited (-1: none)
-    photon, atom_index = codec.space[0].basis, {atom: j for j, atom in enumerate(plan.atoms)}
-    stage_of, excites = np.full(len(photon), len(trace.absorbed)), np.full(len(photon), -1)
-    for k, box in enumerate(plan.boxes[box_id] for box_id, _ in trace.absorbed):
-        d = photon.index(box.marker)
-        stage_of[d], excites[d] = k, atom_index[box.atom]
-    atom_space = tuple(SubsystemSpec(a.id, a.kind, b.symbols(a)) for a, b in zip(network.atoms(), bases))
-    readings = []  # per atom, the specs its reading digits run over
-    for j, (atom, basis, spec) in enumerate(zip(network.atoms(), bases, atom_space)):
-        m = basis.matrix()
-        if m is None:
-            readings.append((atom,))
+    kets, atoms = (*(ket for _, ket in trace.absorbed), trace.continuing), network.atoms()
+    codec, names = trace.continuing._codec, sorted(plan.terminals.values())
+    excites = [plan.boxes[name].atom if name in plan.boxes else None for name in names]
+    shape = (len(names), *(len(atom.basis) for atom in atoms))
+    size = math.prod(shape[1:])
+    # scatter every stage's terms: no photon digit spans two stages, so no two terms share an entry
+    codes, term_re, term_im = (np.concatenate([getattr(ket, part) for ket in kets]) for part in ("_codes", "_re", "_im"))
+    rows = {sym: names.index(name) for sym, name in plan.terminals.items()}  # every term ends on a terminal
+    at = [np.array([rows.get(sym, 0) for sym in codec.space[0].basis])[codec.digit(codes, 0)]]
+    at += [np.array([sorted(a.basis).index(sym) for sym in a.basis])[codec.digit(codes, plan.atoms[a.id])] for a in atoms]
+    re, im = np.zeros(shape), np.zeros(shape)
+    re[tuple(at)], im[tuple(at)] = term_re, term_im
+    for axis, (atom, basis) in enumerate(zip(atoms, bases), 1):
+        if basis.kind == "z":
             continue
-        stays = excites[codec.digit(codes, 0)] == j
-        moved = rebase(Ket._coded(codec, codes[~stays], re[~stays], im[~stays], prune=False), atom.id, m, spec.basis)
-        codec, parts = moved._codec, (moved._codes, moved._re, moved._im)
-        codes, re, im = (np.concatenate([new, old[stays]]) for new, old in zip(parts, (codes, re, im)))
-        readings.append((spec, atom) if j in excites else (spec,))
-    photons = codec.digit(codes, 0)
-    symbols, ranks = _outcome_tables(tuple(plan.terminals.get(sym, sym) for sym in photon), tuple(readings))
-    digits, by_outcome = [photons], ranks[0][photons]
-    for j, (slot, rank) in enumerate(zip(plan.atoms.values(), ranks[1:])):
-        d = codec.digit(codes, slot)
-        if len(readings[j]) == 2:
-            d = d + codec.radices[slot] * (excites[photons] == j)
-        digits.append(d)
-        by_outcome = by_outcome * codec.radices[slot] + rank[d]  # mixed radix over the ranks: fits, as the codes do
-    order = np.argsort(by_outcome, kind="stable")
-    digits, re, im = [d[order] for d in digits], re[order], im[order]
+        bras = _bras(basis, 2)  # an unknown kind raises here, before the atom's symbols are counted
+        if len(atom.basis) != 2:
+            raise StructuralError(f"subsystem {atom.id!r} is not two-dimensional")
+        own = [r for r, atom_id in enumerate(excites) if atom_id == atom.id]
+        held = re[own], im[own]  # copies of the rows that read it in z
+        re, im = _turn(re, im, axis, bras if list(atom.basis) == sorted(atom.basis) else bras[:, ::-1])
+        re[own], im[own] = held
+    kept = np.logical_or(re, im).ravel().nonzero()[0]
+    re, im = re.ravel()[kept], im.ravel()[kept]
     weights = _squared_moduli(re, im)
     drift = math.fsum(weights) - 1.0
     if not abs(drift) <= TOL:
         raise ContractError(f"network {network.name!r}: total weight drifts from 1 by {drift!r}")
-    amps = np.empty(len(order), dtype=complex)
+    amps = np.empty(len(kept), dtype=complex)
     amps.real, amps.imag = re, im
-    excited = np.array([*plan.atoms, None], dtype=object)[excites[digits[0]]].tolist()  # -1 reads the last: None
-    outcomes = _rows(Outcome, symbols[0][digits[0]].tolist(), _atom_readings(symbols, digits), excited)
-    stage, born = stage_of[digits[0]], np.array(weights)
-    where = tuple(np.flatnonzero(stage == k) for k in range(len(kets)))
+    # one atom tuple per reading (an entry within a row) and per atom that a row reads in z though it turns elsewhere
+    counts = np.bincount(kept // size, minlength=len(names)).tolist()  # candidates per row
+    turned = {atom.id for atom, basis in zip(atoms, bases) if basis.kind != "z"}
+    kinds = [atom_id if atom_id in turned else None for atom_id in excites]
+    distinct = list(dict.fromkeys(kinds))
+    key = np.array([(distinct.index(kind) - r) * size for r, kind in enumerate(kinds)]).repeat(counts) + kept
+    seen = np.zeros(len(distinct) * size, dtype=bool)
+    seen[key] = True
+    used = seen.nonzero()[0]
+    kind, *readings = np.unravel_index(used, (len(distinct), *shape[1:]))
+    columns = []
+    for atom, basis, digit in zip(atoms, bases, readings):
+        pairs = [(atom.id, sym) for symbols in (basis.symbols(atom), atom.basis) for sym in sorted(symbols)]
+        in_z = kind == distinct.index(atom.id) if atom.id in distinct else 0  # read from the z half of ``pairs``
+        columns.append(list(map(pairs.__getitem__, (digit + len(atom.basis) * in_z).tolist())))
+    shared = np.fromiter(zip(*columns) if atoms else [()] * len(used), dtype=object, count=len(used))
+    per_row = lambda values: list(itertools.chain.from_iterable(map(itertools.repeat, values, counts)))
+    outcomes = _rows(Outcome, per_row(names), shared[used.searchsorted(key)].tolist(), per_row(excites))
+    bounds = dict(zip(names, itertools.pairwise(itertools.accumulate(counts, initial=0))))  # each row's positions
+    survivors = np.array([name not in plan.boxes for name in names]).repeat(counts).nonzero()[0]
+    where = (*(np.arange(*bounds[box_id]) for box_id, _ in trace.absorbed), survivors)
+    born = np.array(weights)
     masses = tuple(sum(born[pos].tolist()) for pos in where)
+    atom_space = tuple(SubsystemSpec(a.id, a.kind, b.symbols(a)) for a, b in zip(atoms, bases))
     flat = OutcomeDistribution(outcomes, tuple(weights), tuple(amps.tolist()), "flat", atom_space)
     return _StageTable(trace.box_fractions, where, born, flat, masses)
 

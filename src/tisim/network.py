@@ -57,6 +57,7 @@ from .errors import ContractError, StructuralError, ValidationError
 
 _R = 1j / math.sqrt(2.0)  # reflection
 _T = 1.0 / math.sqrt(2.0)  # transmission
+REGISTER_MAX = 2**22  # terminals x spin configurations: the dense register a stage table and the confirmation waves hold
 
 
 @dataclass(frozen=True)
@@ -222,7 +223,7 @@ class Network:
     @cached_property
     def _offer_wave(self) -> PropagationTrace:
         """``forward_propagate(self)``, walked once per network: every context
-        reads the same offer wave and only rebases it at the absorbers."""
+        reads the same offer wave; contexts differ only in how their stage tables read the atoms."""
         return forward_propagate(self)
 
     @cached_property
@@ -445,6 +446,11 @@ def validate(network: Network) -> list[Diagnostic]:
             add_diag(b.id, "box-marker", f"marker symbol {b.marker!r} not declared in the photon basis")
         elif b.marker in produced or b.marker in consumed:
             add_diag(b.id, "box-marker", f"marker symbol {b.marker!r} collides with a routed photon symbol")
+
+    # the register is counted here, not allocated; cascade(16), 33 terminals x 2^16 spin configurations, fits
+    spins, terminals = math.prod(len(s.basis) for s in network.atoms()), len(network.detectors()) + len(network.boxes())
+    if terminals * spins > REGISTER_MAX:
+        add_diag(None, "register-size", f"{terminals} terminal(s) x {spins} spin configurations exceed {REGISTER_MAX} register entries")
 
     # rank monotonicity along every edge, boxes strictly between producer and consumer
     for earlier, later, flag_later, rule in (

@@ -199,3 +199,13 @@ def qle_with_spin_symbols(up: str, down: str) -> Network:
         for term in params.get("state", ()):
             term["label"] = {k: rename[v] if k in spins else v for k, v in term["label"].items()}
     return network_from_dict(data)
+
+
+def definite_spins(n: int) -> Network:
+    """A laser on one detector beside ``n`` atoms, each emitted in spin ``+``: one
+    term, but a register of 2**n spin configurations."""
+    photon = SubsystemSpec("photon", "photon-path", ("s",))
+    spins = [SubsystemSpec(f"atom{k}", "atom-spin", ("+", "-")) for k in range(n)]
+    elements = [Emitter("L", 0, unit((photon,), ("s",))), Detector("D", 1, "s")]
+    elements += [Emitter(f"atom{k}-source", 0, unit((spin,), ("+",))) for k, spin in enumerate(spins)]
+    return Network(f"definite-spins-{n}", (photon, *spins), tuple(elements))

@@ -19,7 +19,7 @@ from tisim.engine import (
 )
 from tisim.errors import ContractError, UsageError, ValidationError
 from tisim.rng import _generator, uniform, uniforms
-from netgen import random_network
+from netgen import qle_with_spin_symbols, random_network
 
 RT2 = math.sqrt(2.0)
 
@@ -636,14 +636,14 @@ def test_candidates_match_the_per_term_reference_on_large_states():
     from pathlib import Path
 
     from tisim.amplitudes import rebase
-    from tisim.engine import _SHARE_FROM
 
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
     from cascade import cascade
 
-    # cascade(7) has 1,024 continuing terms, past the size where candidates share atom tuples
+    # cascade(7) has 1,024 continuing terms; the renamed spins' z symbols are out of string order ("up" > "down")
     rng = np.random.default_rng(2718)
     nets = [cascade(7, 0), t.qle_network(), hardy_with_second_box()] + [random_network(rng, i) for i in range(10)]
+    nets += [qle_with_spin_symbols("up", "down"), qle_with_spin_symbols("b", "a")]
     for net in nets:
         assert t.validate(net) == []
         trace = t.forward_propagate(net)
@@ -662,12 +662,15 @@ def test_candidates_match_the_per_term_reference_on_large_states():
             assert [(c.outcome, repr(c.weight), repr(c.amplitude)) for c in got] == [
                 (c.outcome, repr(c.weight), repr(c.amplitude)) for c in want
             ], net.name
-    assert len(t.forward_propagate(cascade(7, 0)).continuing) > _SHARE_FROM
+    assert len(t.forward_propagate(cascade(7, 0)).continuing) > 256
 
 
 def test_library_calls_outside_their_contract_raise_one_named_error(hardy):
     with pytest.raises(ValidationError, match="unknown atom basis 'w'"):
         AtomBasis("w").matrix()
+    for nan_basis in (AtomBasis.bloch(math.nan, 0.0), AtomBasis.bloch(0.5, math.inf)):
+        with pytest.raises(ValidationError, match=r"atom basis angles \(.*\) are not finite"):
+            t.enumerate_transactions(hardy, MeasurementContext({"atom1": nan_basis}))
     with pytest.raises(ContractError, match="CHSH grid search needs a two-atom post-selected state"):
         t.chsh_optimal_settings(hardy)
     with pytest.raises(ContractError, match="contextuality check needs a two-box network"):

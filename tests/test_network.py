@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 import tisim as t
+from tisim import network as network_module
 from tisim.amplitudes import SubsystemSpec, _apply_symbol_map, scale, unit
 from tisim.errors import ContractError, ValidationError
 from tisim.network import AtomBox, BeamSplitter, Detector, Emitter, Network, _ket_to_json, _parse_network, emitted_state
 from netgen import (
+    definite_spins,
     hardy_emitting_excited_levels,
     hardy_two_source_unequal_photon_spaces,
     qle_emitting_level_first,
@@ -443,6 +445,24 @@ def test_photon_emitters_emit_on_one_subsystem_set():
     assert [(d.element, d.rule) for d in t.validate(net)] == [(None, "photon-source-space")]
     with pytest.raises(ValidationError, match="photon-source-space"):
         t.enumerate_transactions(net, t.z_context(net))
+
+
+def test_register_size_is_bounded(monkeypatch):
+    """Terminals x spin configurations is counted against ``REGISTER_MAX``, and a
+    network past it is refused before any walk allocates its register."""
+    assert network_module.REGISTER_MAX == 2**22
+    assert t.validate(definite_spins(22)) == []  # 1 x 2^22: at the bound
+    big = definite_spins(23)
+    assert [(d.element, d.rule, d.message) for d in t.validate(big)] == [
+        (None, "register-size", "1 terminal(s) x 8388608 spin configurations exceed 4194304 register entries")
+    ]
+    monkeypatch.setattr(network_module, "forward_propagate", lambda net: pytest.fail("walked an invalid network"))
+    for call in (
+        lambda: t.enumerate_transactions(big, t.y_context(big)),
+        lambda: t.echo_weight(big, t.Outcome("D", tuple((a.id, "+") for a in big.atoms())), t.z_context(big)),
+    ):
+        with pytest.raises(ValidationError, match=r"^invalid network: register-size: [^\n]*$"):
+            call()
 
 
 

@@ -23,6 +23,7 @@ from tisim.scenarios import (
     verification_checks,
 )
 from netgen import (
+    definite_spins,
     hardy_emitting_excited_levels,
     hardy_two_source_unequal_photon_spaces,
     qle_emitting_level_first,
@@ -391,6 +392,7 @@ def with_box_blocking(symbol: str) -> dict:
         (with_photon_declared_last, "subsystem-order"),
         (with_atom2_source_on_atom1, "emitter-coverage [atom2-source]: subsystem 'atom1' emitted twice"),
         (lambda: with_box_blocking("x"), "box-blocking [A]"),
+        (lambda: t.network_to_dict(definite_spins(23)), "register-size: 1 terminal(s) x 8388608 spin configurations"),
     ],
 )
 @pytest.mark.parametrize("command", [["run", "qle", "--exact"], ["run", "qle", "--trials", "100"]])

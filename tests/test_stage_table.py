@@ -13,7 +13,7 @@ from tisim import engine
 from tisim import network as network_module
 from tisim.amplitudes import SubsystemSpec, scale
 from tisim.engine import AtomBasis, ChshSettings, MeasurementContext
-from tisim.errors import ContractError
+from tisim.errors import ContractError, StructuralError
 from tisim.network import AtomBox, Detector, Emitter, Network, PropagationTrace
 from tisim.rng import uniform
 from netgen import random_network
@@ -127,9 +127,10 @@ def counting_builds(monkeypatch, net):
 
 
 def test_each_atom_is_rebased_once_per_table(monkeypatch):
+    """Each atom read outside z takes one 2x2 step on its register axis (axis 0 is the terminal)."""
     rebased = []
-    real = engine.rebase
-    monkeypatch.setattr(engine, "rebase", lambda state, atom, *rest: rebased.append(atom) or real(state, atom, *rest))
+    real = engine._turn
+    monkeypatch.setattr(engine, "_turn", lambda re, im, axis, bras: rebased.append(atoms[axis - 1]) or real(re, im, axis, bras))
     for net in (t.qle_network(), t.hardy_network(), *(cascade(k, 0) for k in (1, 4, 9))):
         atoms = [a.id for a in net.atoms()]
         for ctx, expected in ((t.z_context(net), []), (t.y_context(net), atoms), (bloch(net, 0.7, 1.3), atoms)):
@@ -137,6 +138,15 @@ def test_each_atom_is_rebased_once_per_table(monkeypatch):
             t.enumerate_transactions(net, ctx)
             assert rebased == expected, net.name
     assert len(cascade(9, 0).atoms()) == 9
+
+
+def test_only_two_symbol_atoms_change_basis():
+    data = t.network_to_dict(t.qle_network())
+    next(spec for spec in data["subsystems"] if spec["id"] == "atom1")["basis"].append("x")
+    net = t.network_from_dict(data)
+    assert t.enumerate_transactions(net, t.z_context(net)).total_weight() == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(StructuralError, match="^subsystem 'atom1' is not two-dimensional$"):
+        t.enumerate_transactions(net, t.y_context(net))
 
 
 def test_switching_contexts_builds_each_table_once(monkeypatch):
