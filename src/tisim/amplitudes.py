@@ -219,6 +219,26 @@ def _mul(ar, ai, br, bi):
     return ar * br - ai * bi, ar * bi + ai * br
 
 
+def _turn(re: np.ndarray, im: np.ndarray, axis: int, bras: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A linear map along ``axis`` of a dense register, row n of the bras ``f`` giving entry n:
+    ``0.0 + f[n,0]·a₀ + f[n,1]·a₁ + …`` in split float64 (``_mul``).  As in ``rebase`` and the
+    symbol maps, factors below ``PRUNE`` are skipped and results below it zeroed; as IEEE
+    addition of two terms commutes, a row of at most two factors sums as their merge, bit for bit."""
+    at = lambda n: (slice(None),) * axis + (n,)
+    shape = (*re.shape[:axis], len(bras), *re.shape[axis + 1 :])
+    out_re, out_im = np.zeros(shape), np.zeros(shape)
+    for n, row in enumerate(bras.tolist()):
+        for k, f in enumerate(row):
+            if abs(f) >= PRUNE:
+                p_re, p_im = _mul(f.real, f.imag, re[at(k)], im[at(k)])
+                out_re[at(n)] += p_re
+                out_im[at(n)] += p_im
+    small = (np.abs(out_re) < PRUNE) & (np.abs(out_im) < PRUNE)  # no other entry's hypot is below PRUNE
+    small[small] = np.hypot(out_re[small], out_im[small]) < PRUNE  # the hypot of Python's abs(z)
+    out_re[small] = out_im[small] = 0.0
+    return out_re, out_im
+
+
 def _merge(cls, codec: _Codec, codes: np.ndarray, re: np.ndarray, im: np.ndarray):
     """Sum the values of equal codes, from +0.0 in array order; each code
     stays where it first occurred."""
@@ -313,25 +333,6 @@ def inner(bra: Bra, ket: Ket) -> complex:
     hit = ket._codes[at] == bra._codes
     re, im = _mul(bra._re[hit], bra._im[hit], ket._re[at[hit]], ket._im[at[hit]])
     return complex(sum(re.tolist()), sum(im.tolist()))  # added in array order
-
-
-def _term_products(state: _State, factors) -> tuple[np.ndarray, np.ndarray]:
-    """Per term of ``state``, the split parts of its summand in the ``inner``
-    of ``state`` with the tensor product of ``factors`` (which split its
-    subsystems), without forming the product: the factor values on its digits
-    multiplied in order, then its amplitude."""
-    if sorted(s.id for f in factors for s in f.space) != sorted(s.id for s in state.space):
-        raise StructuralError("factors do not cover the state's subsystems once each")
-    value = None
-    for f in factors:
-        slots = [subsystem_index(state.space, s.id) for s in f.space]
-        if tuple(state.space[i] for i in slots) != f.space:
-            raise StructuralError("a factor's subsystems differ from the state's")
-        table = np.zeros((2, f._codec.size))
-        table[:, f._codes] = f._re, f._im
-        re, im = table[:, sum(state._codec.digit(state._codes, i) * s for i, s in zip(slots, f._codec.strides))]
-        value = (re, im) if value is None else _mul(*value, re, im)
-    return _mul(*value, state._re, state._im)
 
 
 def project(a, subsystem: str, symbol: str):

@@ -32,8 +32,8 @@ from .amplitudes import (
     Ket,
     Space,
     SubsystemSpec,
-    _mul,
     _squared_moduli,
+    _turn,
 )
 from .errors import ContractError, StructuralError, UsageError, ValidationError
 from .network import Network, _source_couplings, confirmation_wave
@@ -243,26 +243,6 @@ def _hierarchy_stages(network: Network, context: MeasurementContext) -> _StageTa
         for old in list(tables)[:-STAGE_TABLES]:
             tables.pop(old, None)
     return table
-
-
-def _turn(re: np.ndarray, im: np.ndarray, axis: int, bras: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One atom's change of basis on a dense register: along ``axis`` (length 2), entry n
-    becomes ``0.0 + f[n,0]·a₀ + f[n,1]·a₁`` in split float64 (``_mul``) for the bras ``f``,
-    their columns in the axis's order.  As in ``rebase``, factors below ``PRUNE`` are skipped
-    and results below it are zeroed; and as it adds at most two products, and IEEE addition
-    of two terms commutes, this is ``rebase`` bit for bit."""
-    at = lambda n: (slice(None),) * axis + (n,)
-    out_re, out_im = np.zeros_like(re), np.zeros_like(im)
-    for n, row in enumerate(bras.tolist()):
-        for k, f in enumerate(row):
-            if abs(f) >= PRUNE:
-                p_re, p_im = _mul(f.real, f.imag, re[at(k)], im[at(k)])
-                out_re[at(n)] += p_re
-                out_im[at(n)] += p_im
-    small = (np.abs(out_re) < PRUNE) & (np.abs(out_im) < PRUNE)  # no other entry's hypot is below PRUNE
-    small[small] = np.hypot(out_re[small], out_im[small]) < PRUNE  # the hypot of Python's abs(z)
-    out_re[small] = out_im[small] = 0.0
-    return out_re, out_im
 
 
 def _stage_table(network: Network, bases: tuple[AtomBasis, ...]) -> _StageTable:
@@ -666,12 +646,14 @@ def chsh_monte_carlo(
 def chsh_optimal_settings(
     network: Network, resolution_deg: float = 1.0, post: str = "D"
 ) -> tuple[ChshSettings, float]:
-    """Grid search for the settings maximizing S, at the given angular step.
+    """Grid search for the settings maximizing S, at an angular step of at least 0.5 degrees.
 
     The search runs over polar angles in the x-z plane (the plane containing
     this family's optimal settings); for each (b, b') column the best a and
     a' are independent, so the search is cubic, not quartic, in grid size.
     """
+    if not (math.isfinite(resolution_deg) and resolution_deg >= 0.5):
+        raise ContractError(f"CHSH grid resolution must be a finite step of at least 0.5 degrees, got {resolution_deg!r}")
     dist = enumerate_transactions(network, z_context(network))
     _, ket = post_select(dist, post)
     if ket is None or len(ket.space) != 2:

@@ -3,11 +3,11 @@
 A network declares its subsystems (one photon-path subsystem plus spin/level
 pairs for any boxed atoms) and a rank-ordered set of elements.  Offer waves
 propagate forward through the elements in rank order; confirmation waves
-propagate backward through the conjugate-transposed maps in reverse rank
-order.  Atom boxes split off the absorbed component (photon on their path,
-atom in the blocking spin state) into a separate bucket, flipping the atom's
-level marker from ground to excited, so total probability is conserved
-between the continuing and absorbed sectors.
+propagate backward through the transposed maps in reverse rank order, on
+spin registers.  Atom boxes split off the absorbed component (photon on their
+path, atom in the blocking spin state) into a separate bucket, flipping the
+atom's level marker from ground to excited, so total probability is
+conserved between the continuing and absorbed sectors.
 
 Conventions, fixed once for the whole package:
 
@@ -24,7 +24,6 @@ Conventions, fixed once for the whole package:
 from __future__ import annotations
 
 import graphlib
-import itertools
 import json
 import math
 from dataclasses import dataclass, fields
@@ -44,7 +43,8 @@ from .amplitudes import (
     _Codec,
     _apply_symbol_map,
     _codec_for,
-    _term_products,
+    _mul,
+    _turn,
     add,
     approx_equal,
     dual,
@@ -57,7 +57,7 @@ from .errors import ContractError, StructuralError, ValidationError
 
 _R = 1j / math.sqrt(2.0)  # reflection
 _T = 1.0 / math.sqrt(2.0)  # transmission
-REGISTER_MAX = 2**22  # terminals x spin configurations: the dense register a stage table and the confirmation waves hold
+REGISTER_MAX = 2**22  # terminals x spin configurations: a stage table's dense register, and the kept confirmation waves
 
 
 @dataclass(frozen=True)
@@ -203,14 +203,9 @@ class Network:
         codec, steps = _codec_for(self.subsystems), []
         for e in self.ordered():
             if isinstance(e, AtomBox):
-                relabel = _box_relabel(codec, e)
-                steps.append((e, relabel, relabel))
+                steps.append((e, _box_relabel(codec, e)))
             elif isinstance(e, (BeamSplitter, Mirror)):
-                forward, back = e.forward_map(), {}
-                for in_sym, branches in forward.items():
-                    for out_sym, factor in branches:
-                        back.setdefault(out_sym, []).append((in_sym, factor))
-                steps.append((None, forward, back))
+                steps.append((None, e.forward_map()))
         photon_sources = self.photon_emitters()
         atom_sources = sorted(
             (e for e in self.emitters() if e not in photon_sources),
@@ -245,9 +240,8 @@ class _Plan:
     """What the walks read of a valid network (``Network._plan``), built once.
 
     ``steps`` are the splitters, mirrors and boxes in rank order, each
-    ``(box, forward, back)``: a splitter or mirror has box ``None``, its
-    forward symbol map and the transposed one; a box has its relabel
-    (``_box_relabel``, an involution) both ways.  A valid network declares the
+    ``(box, forward)``: a splitter or mirror has box ``None`` and its symbol
+    map, a box its relabel (``_box_relabel``).  A valid network declares the
     photon first (the ``subsystem-order`` rule), so its slot is always 0."""
 
     steps: tuple[tuple, ...]
@@ -528,9 +522,9 @@ def emitted_state(network: Network) -> Ket:
 
 
 def _box_relabel(codec: _Codec, box: AtomBox):
-    """The box as an involution on the label codes of ``codec``'s space:
-    ``(path, blocking, ground) <-> (marker, blocking, excited)`` on the
-    (photon, spin, level) digits, the photon in slot 0.
+    """The box on the label codes of ``codec``'s space: ``(path, blocking,
+    ground) -> (marker, blocking, excited)`` on the (photon, spin, level)
+    digits, the photon in slot 0.
 
     Returns ``relabel(codes) -> (new codes, moved mask)``: each code's shift
     of the photon and level digits, looked up on its three digits."""
@@ -538,9 +532,8 @@ def _box_relabel(codec: _Codec, box: AtomBox):
     atom_i, level_i = subsystem_index(space, box.atom), subsystem_index(space, box.level)
     path, marker = space[0].basis.index(box.path), space[0].basis.index(box.marker)
     blocking = space[atom_i].basis.index(box.blocking)
-    shift = (marker - path) * codec.strides[0] + codec.strides[level_i]  # ground is level digit 0
     step = np.zeros(tuple(codec.radices[i] for i in (0, atom_i, level_i)), dtype=np.int64)
-    step[path, blocking, 0], step[marker, blocking, 1] = shift, -shift
+    step[path, blocking, 0] = (marker - path) * codec.strides[0] + codec.strides[level_i]  # ground is level digit 0
     step.setflags(write=False)  # shared by every walk of the network
 
     def relabel(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -556,7 +549,7 @@ def forward_propagate(network: Network) -> PropagationTrace:
     state = emitted_state(network)
     absorbed: list[tuple[str, Ket]] = []
     fractions: list[float] = []
-    for box, forward, _ in network._plan.steps:
+    for box, forward in network._plan.steps:
         if box is None:
             state = _apply_symbol_map(state, 0, forward)
             continue
@@ -574,46 +567,69 @@ def forward_propagate(network: Network) -> PropagationTrace:
 # -- backward propagation -----------------------------------------------------
 
 
-def _walk_back(network: Network, joint: Bra) -> Bra:
-    """A confirmation wave carried terminal -> sources: the transposed maps in reverse rank order."""
-    for box, _, back in reversed(network._plan.steps):
+def _walk_back(network: Network, symbol: str) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """A confirmation wave carried from a terminal's photon ``symbol`` to the sources in
+    reverse rank order, from ones: a spin register per photon symbol it reaches (re and im
+    over the atoms' z digits, an axis per atom), each entry bit for bit the coded walk's.
+    A splitter or mirror gathers each input from its outputs through its transposed map
+    (``_turn``); a box hands its marker's blocking-spin entries (its atom excited) to its
+    path (every atom at ground), dropping the path's own: no source emits on a marker."""
+    plan = network._plan
+    shape = tuple(len(network.subsystems[i].basis) for i in plan.atoms.values())
+    wave = {symbol: (np.ones(shape), np.zeros(shape))}
+    for box, forward in reversed(plan.steps):
         if box is None:
-            joint = _apply_symbol_map(joint, 0, back)
-        else:
-            codes, _ = back(joint._codes)  # a bijection: no two terms merge
-            joint = Bra._coded(joint._codec, codes, joint._re, joint._im, prune=False)
-    return joint
+            outputs = [out for out in dict.fromkeys(o for branches in forward.values() for o, _ in branches) if out in wave]
+            if outputs:  # an output the wave misses adds nothing
+                matrix = np.array([[dict(branches).get(out, 0.0) for out in outputs] for branches in forward.values()])
+                re, im = _turn(*map(np.stack, zip(*map(wave.pop, outputs))), 0, matrix)
+                wave.update(zip(forward, zip(re, im)))
+        elif box.marker in wave or box.path in wave:
+            blocking = network.subsystems[plan.atoms[box.atom]].basis.index(box.blocking)
+            at = (slice(None),) * list(plan.atoms).index(box.atom) + (blocking,)
+            re, im = wave.setdefault(box.path, (np.zeros(shape), np.zeros(shape)))
+            re[at], im[at] = (part[at] for part in wave.pop(box.marker, (np.zeros(shape),) * 2))
+    return wave
+
+
+def _at_ground(state: Ket, digits: Mapping[str, np.ndarray]) -> np.ndarray:
+    """An emitted state's amplitudes (re, im on the leading axis) at ``digits``, which broadcast, and levels at ground."""
+    table = np.zeros((2, state._codec.size))
+    table[:, state._codes] = state._re, state._im
+    return table[:, sum(digits[s.id] * stride for s, stride in zip(state.space, state._codec.strides) if s.kind != "atom-level")]
 
 
 def confirmation_wave(network: Network, terminal: str) -> tuple[str | None, np.ndarray]:
-    """The confirmation wave of a terminal (a detector or box id) read at the
-    sources: its amplitude W(s) for each spin configuration s of the atoms.
-
-    No element map changes a spin digit, so one walk carries every spin basis
-    state as its own term; atom bras b then give sum_s prod_atom b_atom(s_atom) W(s).
-    Returns the atom the terminal leaves excited (``None`` for a detector) and
-    W, one row per photon source (in a two-source network the rows add
-    coherently), mixed radix over the atoms in declaration order.  Walked once
-    per network and terminal, reading no forward result.
+    """The confirmation wave of a terminal (a detector or box id) read at the sources:
+    its amplitude W(s) for each spin configuration s of the atoms, so atom bras b give
+    sum_s prod_atom b_atom(s_atom) W(s).  One walk (``_walk_back``) carries every s; each
+    photon source then adds from 0.0, per symbol it emits in term order, its emission times
+    the atom sources' (levels at ground) times the symbol's register, unpruned products in
+    split float64.  Returns the atom the terminal leaves excited (``None`` for a detector)
+    and W, one row per photon source (in a two-source network the rows add coherently),
+    mixed radix over the atoms in declaration order.  Walked once per network and
+    terminal, reading no forward result.
     """
     wave = network._confirmation_waves.get(terminal)
     if wave is None:  # built in a local first, so a racing thread stores an equal wave
-        plan = network._plan
+        plan, photon = network._plan, network.photon
         symbol = next((sym for sym, eid in plan.terminals.items() if eid == terminal), None)
         if symbol is None:
             raise ContractError(f"{terminal!r} is not a detector or box of network {network.name!r}")
+        registers = _walk_back(network, symbol)
+        shape = tuple(len(network.subsystems[i].basis) for i in plan.atoms.values())
+        digits = dict(zip(plan.atoms, np.indices(shape, sparse=True)))
+        atoms = [_at_ground(e.state, digits) for e in plan.atom_sources]
+        rows = []
+        for e in plan.photon_sources:
+            re, im = np.zeros(shape), np.zeros(shape)
+            for d in dict.fromkeys(e.state._codec.digit(e.state._codes, 0).tolist()):  # emitted photon digits
+                if photon.basis[d] in registers:  # the product in subsystem order, then the register
+                    emitted = _at_ground(e.state, {**digits, photon.id: d})
+                    value = reduce(lambda v, f: _mul(*v, *f), (*atoms, registers[photon.basis[d]]), emitted)
+                    re, im = re + value[0], im + value[1]
+            rows.append(np.ravel(re) + 1j * np.ravel(im))
         box = plan.boxes.get(terminal)
-        level = box.level if box is not None else None  # excited there, ground elsewhere
-        choices = [s.basis if s.kind == "atom-spin" else (s.basis[s.id == level],) for s in network.subsystems[1:]]
-        anchor = dict.fromkeys(itertools.product((symbol,), *choices), 1.0)  # a term per spin configuration
-        joint = _walk_back(network, Bra(network.subsystems, anchor))
-        codec, config = joint._codec, np.zeros_like(joint._codes)
-        for i in plan.atoms.values():
-            config = config * codec.radices[i] + codec.digit(joint._codes, i)
-        size = math.prod(codec.radices[i] for i in plan.atoms.values())
-        atom_states = [e.state for e in plan.atom_sources]
-        parts = [_term_products(joint, [e.state, *atom_states]) for e in plan.photon_sources]
-        rows = [np.bincount(config, re, size) + 1j * np.bincount(config, im, size) for re, im in parts]
         network._confirmation_waves[terminal] = wave = (box.atom if box is not None else None, np.array(rows))
     return wave
 

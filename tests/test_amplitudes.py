@@ -421,30 +421,6 @@ def test_rebase_matches_dict_reference_values():
             assert exact_items(got.terms) == exact_items(dict_symbol_map(k.terms, 2, mapping))
 
 
-def test_term_products_sum_to_inner_with_the_tensor_product():
-    from tisim.amplitudes import _term_products
-
-    rng = np.random.default_rng(14)
-    for _ in range(30):
-        bra = t.dual(random_ket(rng, (PHOTON, SPIN1, SPIN2), 12))
-        factors = [random_ket(rng, (PHOTON,), 3), random_ket(rng, (SPIN1,), 2), random_ket(rng, (SPIN2,), 2)]
-        summed = complex(*(sum(part.tolist()) for part in _term_products(bra, factors)))
-        assert abs(summed - t.inner(bra, t.tensor(t.tensor(*factors[:2]), factors[2]))) < 1e-15
-
-
-def test_term_products_refuses_factors_that_do_not_split_the_state():
-    from tisim.amplitudes import _term_products
-
-    bra = t.dual(unit((PHOTON, SPIN1), ("s", "+")))
-    photon, spin = unit((PHOTON,), ("s",)), unit((SPIN1,), ("+",))
-    for factors in ([photon], [photon, photon, spin]):  # atom1 missing; photon twice
-        with pytest.raises(StructuralError, match="do not cover the state's subsystems once each"):
-            _term_products(bra, factors)
-    wide = SubsystemSpec(SPIN1.id, SPIN1.kind, (*SPIN1.basis, "x"))  # atom1's id, another basis
-    with pytest.raises(StructuralError, match="a factor's subsystems differ from the state's"):
-        _term_products(bra, [photon, unit((wide,), ("+",))])
-
-
 def test_approx_equal_is_false_across_types_or_spaces():
     ket = unit((PHOTON,), ("s",))
     assert t.approx_equal(ket, unit((PHOTON,), ("s",)))

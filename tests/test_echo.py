@@ -100,17 +100,31 @@ def test_each_terminal_walks_back_once(monkeypatch, qle):
     tables = born_tables(qle)
     walks = []
     real = network_module._walk_back
-    monkeypatch.setattr(network_module, "_walk_back", lambda net, bra: walks.append(net) or real(net, bra))
+    monkeypatch.setattr(network_module, "_walk_back", lambda net, symbol: walks.append((net, symbol)) or real(net, symbol))
     echoed = fresh(qle)
     for ctx, candidates in tables:
         for c in candidates:
             t.echo_weight(echoed, c.outcome, ctx)
     terminals = {c.outcome.photon for _, candidates in tables for c in candidates}
     assert len(walks) == len(terminals) == 4
+    assert sorted(symbol for _, symbol in walks) == sorted(sym for sym, eid in qle.terminal_symbols().items() if eid in terminals)
     spins = {a.id: t.unit((a,), ("+",), bra=True) for a in qle.atoms()}
     report = t.backward_propagate(echoed, t.unit((qle.photon,), ("d",), bra=True), spins)
     assert len(walks) == 4
     assert abs(report.weight - t.echo_weight(echoed, Outcome("D", (("atom1", "+"), ("atom2", "+"))), t.z_context(qle))) < TOL
+
+
+def test_a_confirmation_wave_encodes_no_label(monkeypatch):
+    net = cascade(6, 0)
+    assert net._plan.steps
+
+    def refuse(*args):
+        raise AssertionError("a confirmation wave walked coded labels")
+
+    monkeypatch.setattr(network_module._Codec, "encode", refuse)
+    monkeypatch.setattr(network_module, "_apply_symbol_map", refuse)
+    for terminal in net.terminal_symbols().values():
+        assert confirmation_wave(net, terminal)[1].shape == (1, 2**6)
 
 
 def test_each_element_map_is_built_once(monkeypatch):

@@ -673,5 +673,8 @@ def test_library_calls_outside_their_contract_raise_one_named_error(hardy):
             t.enumerate_transactions(hardy, MeasurementContext({"atom1": nan_basis}))
     with pytest.raises(ContractError, match="CHSH grid search needs a two-atom post-selected state"):
         t.chsh_optimal_settings(hardy)
+    for resolution in (0, -1, math.nan, 1e-9):  # at 1e-9 the grid would ask for terabytes
+        with pytest.raises(ContractError, match="CHSH grid resolution must be a finite step of at least 0.5 degrees"):
+            t.chsh_optimal_settings(t.qle_network(), resolution_deg=resolution)
     with pytest.raises(ContractError, match="contextuality check needs a two-box network"):
         t.contextuality_verdicts(hardy)
