@@ -198,22 +198,6 @@ def _codec_for(space: Space) -> _Codec:
     return _Codec(space)
 
 
-@lru_cache(maxsize=256)
-def _joint_codec(a: _Codec, b: _Codec) -> _Codec:
-    """The codec of ``a``'s space then ``b``'s, cached on the codec objects, so
-    building a product of many factors hashes no subsystem specs."""
-    overlap = {s.id for s in a.space} & {s.id for s in b.space}
-    if overlap:
-        raise StructuralError(f"overlapping subsystem ids: {sorted(overlap)}")
-    return _codec_for(a.space + b.space)
-
-
-@lru_cache(maxsize=256)
-def _slot_codec(codec: _Codec, i: int, spec: SubsystemSpec) -> _Codec:
-    """The codec of ``codec``'s space with slot ``i`` replaced by ``spec``."""
-    return _codec_for(codec.space[:i] + (spec,) + codec.space[i + 1 :])
-
-
 def _mul(ar, ai, br, bi):
     """Complex product in split float64, rounded as Python's complex multiply."""
     return ar * br - ai * bi, ar * bi + ai * br
@@ -277,9 +261,9 @@ def tensor(first, *rest):
     pruned once at the end."""
     if any(type(b) is not type(first) for b in rest):
         raise StructuralError("cannot tensor a ket with a bra")
-    codec, codes, re, im = first._codec, first._codes, first._re, first._im
+    codec = _codec_for(sum((b.space for b in rest), first.space))  # a subsystem named twice is refused here
+    codes, re, im = first._codes, first._re, first._im
     for b in rest:
-        codec = _joint_codec(codec, b._codec)
         codes = (codes[:, None] * b._codec.size + b._codes).ravel()  # earlier factors outermost
         re, im = (x.ravel() for x in _mul(re[:, None], im[:, None], b._re, b._im))
     return type(first)._coded(codec, codes, re, im)
@@ -371,7 +355,7 @@ def rebase(a, subsystem: str, matrix, new_symbols: tuple[str, str]):
     cols = (m.conj() if isinstance(a, Ket) else m).T.tolist()  # cols[k][j]: old symbol k's factor onto old j
     mapping = {s: [(to, c) for to, c in zip(spec.basis, col) if abs(c) >= PRUNE] for s, col in zip(spec.basis, cols)}
     out = _apply_symbol_map(a, i, mapping)
-    codec = _slot_codec(a._codec, i, SubsystemSpec(spec.id, spec.kind, new_symbols))
+    codec = _codec_for(a.space[:i] + (SubsystemSpec(spec.id, spec.kind, new_symbols),) + a.space[i + 1 :])
     return type(a)._coded(codec, out._codes, out._re, out._im, prune=False)
 
 

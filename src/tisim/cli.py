@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 output pipe closed, 2 usage error, 3 failed verification.
+Exit codes: 0 success, 1 output pipe closed, 2 usage error, 3 failed verification,
+130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -128,6 +129,9 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:  # the reader went away: devnull takes what is left, so the exit flush cannot fail
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import threading
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -441,6 +442,8 @@ def _tally(table: _StageTable, seed: int, lane: int, start: int, trials: int, wo
     masks and indices stay in L2 and memory does not grow with the trials.  The
     blocks are counted on at most ``min(workers, os.cpu_count(), blocks)`` threads,
     inline when that is one (runs of up to one block); the counts do not depend on it.
+    An exception in the main thread while the threads count (a Ctrl-C) stops each
+    of them before its next block, then propagates.
     """
     if trials < 1:
         raise UsageError("trials must be >= 1")
@@ -451,10 +454,13 @@ def _tally(table: _StageTable, seed: int, lane: int, start: int, trials: int, wo
     threads = min(workers, os.cpu_count() or 1, len(blocks))
     reach = (*(p > 0.0 for p in table.fractions), all(p < 1.0 for p in table.fractions))  # the stages a trial reaches
     cuts = [_cut(table.born[pos]) if can else None for pos, can in zip(table.where, reach)]
+    interrupted = threading.Event()
 
     def count(part: range) -> np.ndarray:
         counts = np.zeros(table.born.size, dtype=np.int64)
         for lo in part:
+            if interrupted.is_set():
+                break
             for k, u in _draws(table.fractions, seed, lane, lo, min(CHUNK, stop - lo)):
                 counts[table.where[k]] += _count(cuts[k], u)
                 del u  # else this block's uniforms stay live while the next block draws, doubling the peak
@@ -466,7 +472,11 @@ def _tally(table: _StageTable, seed: int, lane: int, start: int, trials: int, wo
     # numpy's Philox fill and comparisons release the GIL, so threads overlap; thread j
     # takes every threads-th block from j, so the pending work does not grow with the trials
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return sum(pool.map(count, [blocks[j::threads] for j in range(threads)]))
+        try:
+            return sum(pool.map(count, [blocks[j::threads] for j in range(threads)]))
+        except BaseException:  # else leaving the pool waits for every thread to count all of its blocks
+            interrupted.set()
+            raise
 
 
 def resolve_flat(dist: OutcomeDistribution, seed: int, trial: int) -> Outcome:

@@ -40,9 +40,7 @@ from .amplitudes import (
     Label,
     Space,
     SubsystemSpec,
-    _Codec,
     _apply_symbol_map,
-    _codec_for,
     _mul,
     _turn,
     add,
@@ -200,12 +198,11 @@ class Network:
         """The network compiled once for its walks; an invalid network has none."""
         if self._diagnostics:
             raise ValidationError("invalid network: " + "; ".join(map(str, self._diagnostics)))
-        codec, steps = _codec_for(self.subsystems), []
-        for e in self.ordered():
-            if isinstance(e, AtomBox):
-                steps.append((e, _box_relabel(codec, e)))
-            elif isinstance(e, (BeamSplitter, Mirror)):
-                steps.append((None, e.forward_map()))
+        steps = tuple(
+            (e, None if isinstance(e, AtomBox) else e.forward_map())
+            for e in self.ordered()
+            if isinstance(e, (BeamSplitter, Mirror, AtomBox))
+        )
         photon_sources = self.photon_emitters()
         atom_sources = sorted(
             (e for e in self.emitters() if e not in photon_sources),
@@ -213,7 +210,7 @@ class Network:
         )
         boxes = {b.id: b for b in self.boxes()}
         atoms = {s.id: i for i, s in enumerate(self.subsystems) if s.kind == "atom-spin"}
-        return _Plan(tuple(steps), photon_sources, tuple(atom_sources), self.terminal_symbols(), boxes, atoms)
+        return _Plan(steps, photon_sources, tuple(atom_sources), self.terminal_symbols(), boxes, atoms)
 
     @cached_property
     def _offer_wave(self) -> PropagationTrace:
@@ -240,9 +237,10 @@ class _Plan:
     """What the walks read of a valid network (``Network._plan``), built once.
 
     ``steps`` are the splitters, mirrors and boxes in rank order, each
-    ``(box, forward)``: a splitter or mirror has box ``None`` and its symbol
-    map, a box its relabel (``_box_relabel``).  A valid network declares the
-    photon first (the ``subsystem-order`` rule), so its slot is always 0."""
+    ``(element, forward)``: a splitter's or mirror's symbol map on the photon
+    slot, ``None`` for a box, which each walk applies itself.  A valid network
+    declares the photon first (the ``subsystem-order`` rule), so its slot is
+    always 0."""
 
     steps: tuple[tuple, ...]
     photon_sources: tuple[Emitter, ...]
@@ -515,51 +513,37 @@ def emitted_state(network: Network) -> Ket:
     """Tensor product of all emitted states of a valid network (photon
     emitters add coherently), the non-photon sources in subsystem order."""
     plan = network._plan
-    state = reduce(add, [e.state for e in plan.photon_sources])
-    for e in plan.atom_sources:
-        state = tensor(state, e.state)
-    return state
-
-
-def _box_relabel(codec: _Codec, box: AtomBox):
-    """The box on the label codes of ``codec``'s space: ``(path, blocking,
-    ground) -> (marker, blocking, excited)`` on the (photon, spin, level)
-    digits, the photon in slot 0.
-
-    Returns ``relabel(codes) -> (new codes, moved mask)``: each code's shift
-    of the photon and level digits, looked up on its three digits."""
-    space = codec.space
-    atom_i, level_i = subsystem_index(space, box.atom), subsystem_index(space, box.level)
-    path, marker = space[0].basis.index(box.path), space[0].basis.index(box.marker)
-    blocking = space[atom_i].basis.index(box.blocking)
-    step = np.zeros(tuple(codec.radices[i] for i in (0, atom_i, level_i)), dtype=np.int64)
-    step[path, blocking, 0] = (marker - path) * codec.strides[0] + codec.strides[level_i]  # ground is level digit 0
-    step.setflags(write=False)  # shared by every walk of the network
-
-    def relabel(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        moves = step[codec.digit(codes, 0), codec.digit(codes, atom_i), codec.digit(codes, level_i)]
-        return codes + moves, moves != 0
-
-    return relabel
+    return tensor(reduce(add, [e.state for e in plan.photon_sources]), *(e.state for e in plan.atom_sources))
 
 
 def forward_propagate(network: Network) -> PropagationTrace:
     """Propagate the emitted offer wave source -> detectors in rank order;
-    the engine reads each network's one walk (``Network._offer_wave``)."""
-    state = emitted_state(network)
+    the engine reads each network's one walk (``Network._offer_wave``).
+
+    A box moves each term with the photon on its path, its atom's spin
+    ``blocking`` and its level at ground (digit 0) to its marker and the
+    excited level; no term carries the marker before its box, so the moved
+    terms are what it absorbs."""
+    plan, state = network._plan, emitted_state(network)
     absorbed: list[tuple[str, Ket]] = []
     fractions: list[float] = []
-    for box, forward in network._plan.steps:
-        if box is None:
+    for e, forward in plan.steps:
+        if forward is not None:
             state = _apply_symbol_map(state, 0, forward)
             continue
-        before = norm_sq(state)
-        # no term carries the marker before its box, so a moved label is an absorbed term
-        codes, moved = forward(state._codes)
+        codec, codes, before = state._codec, state._codes, norm_sq(state)
+        digit_of, atom, level = codec.digit_of, plan.atoms[e.atom], subsystem_index(state.space, e.level)
+        path, marker = digit_of[0][e.path], digit_of[0][e.marker]
+        moved = (
+            (codec.digit(codes, 0) == path)
+            & (codec.digit(codes, atom) == digit_of[atom][e.blocking])
+            & (codec.digit(codes, level) == 0)  # ground
+        )
         kept = ~moved
-        taken = Ket._coded(state._codec, codes[moved], state._re[moved], state._im[moved], prune=False)
-        state = Ket._coded(state._codec, codes[kept], state._re[kept], state._im[kept], prune=False)
-        absorbed.append((box.id, taken))
+        shift = (marker - path) * codec.strides[0] + codec.strides[level]
+        taken = Ket._coded(codec, codes[moved] + shift, state._re[moved], state._im[moved], prune=False)
+        state = Ket._coded(codec, codes[kept], state._re[kept], state._im[kept], prune=False)
+        absorbed.append((e.id, taken))
         fractions.append(norm_sq(taken) / before if before > 0 else 0.0)
     return PropagationTrace(continuing=state, absorbed=tuple(absorbed), box_fractions=tuple(fractions))
 
@@ -577,18 +561,18 @@ def _walk_back(network: Network, symbol: str) -> dict[str, tuple[np.ndarray, np.
     plan = network._plan
     shape = tuple(len(network.subsystems[i].basis) for i in plan.atoms.values())
     wave = {symbol: (np.ones(shape), np.zeros(shape))}
-    for box, forward in reversed(plan.steps):
-        if box is None:
+    for e, forward in reversed(plan.steps):
+        if forward is not None:
             outputs = [out for out in dict.fromkeys(o for branches in forward.values() for o, _ in branches) if out in wave]
             if outputs:  # an output the wave misses adds nothing
                 matrix = np.array([[dict(branches).get(out, 0.0) for out in outputs] for branches in forward.values()])
                 re, im = _turn(*map(np.stack, zip(*map(wave.pop, outputs))), 0, matrix)
                 wave.update(zip(forward, zip(re, im)))
-        elif box.marker in wave or box.path in wave:
-            blocking = network.subsystems[plan.atoms[box.atom]].basis.index(box.blocking)
-            at = (slice(None),) * list(plan.atoms).index(box.atom) + (blocking,)
-            re, im = wave.setdefault(box.path, (np.zeros(shape), np.zeros(shape)))
-            re[at], im[at] = (part[at] for part in wave.pop(box.marker, (np.zeros(shape),) * 2))
+        elif e.marker in wave or e.path in wave:
+            blocking = network.subsystems[plan.atoms[e.atom]].basis.index(e.blocking)
+            at = (slice(None),) * list(plan.atoms).index(e.atom) + (blocking,)
+            re, im = wave.setdefault(e.path, (np.zeros(shape), np.zeros(shape)))
+            re[at], im[at] = (part[at] for part in wave.pop(e.marker, (np.zeros(shape),) * 2))
     return wave
 
 
@@ -699,7 +683,7 @@ def backward_propagate(
     atom_product = 1.0 + 0j
     for e in plan.atom_sources:
         spin_spec, *level = e.state.space
-        ground = tuple(spec.basis[0] for spec in level)  # the box relabel restores it before the source
+        ground = tuple(spec.basis[0] for spec in level)  # the box's step back restores it before the source
         a_k = sum(b * e.state.amplitude((s, *ground)) for (s,), b in atom_bras[spin_spec.id].terms.items())
         sector[e.id] = a_k
         atom_product *= a_k

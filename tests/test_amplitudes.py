@@ -90,7 +90,7 @@ def test_tensor_triple_product_matches_enumeration():
 
 def test_tensor_rejects_overlapping_subsystems():
     a = unit((PHOTON,), ("s",))
-    with pytest.raises(StructuralError):
+    with pytest.raises(StructuralError, match="duplicate subsystem ids"):
         t.tensor(a, a)
 
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import tisim as t
+import tisim.amplitudes as amplitudes_module
 import tisim.network as network_module
 from netgen import qle_with_mirror, random_network
 from tisim.engine import AtomBasis, MeasurementContext, Outcome, _bras
@@ -121,7 +122,7 @@ def test_a_confirmation_wave_encodes_no_label(monkeypatch):
     def refuse(*args):
         raise AssertionError("a confirmation wave walked coded labels")
 
-    monkeypatch.setattr(network_module._Codec, "encode", refuse)
+    monkeypatch.setattr(amplitudes_module._Codec, "encode", refuse)
     monkeypatch.setattr(network_module, "_apply_symbol_map", refuse)
     for terminal in net.terminal_symbols().values():
         assert confirmation_wave(net, terminal)[1].shape == (1, 2**6)

@@ -2,13 +2,17 @@ import errno
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import threading
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import tisim as t
+from tisim import rng
 from tisim.cli import main as cli_main
 from tisim.engine import CHUNK
 from tisim.errors import UsageError
@@ -531,6 +535,42 @@ def test_module_exits_one_without_a_traceback_into_a_closed_pipe(argv):
     assert (proc.returncode, proc.stderr) == (1, b"")
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_an_interrupted_run_exits_130_and_each_thread_stops_within_its_block(workers, monkeypatch, capsys):
+    """The 8th draw of a 64-block run sends the main thread a SIGINT, as Ctrl-C would; with two
+    workers it comes from a counting thread while the main thread waits on the pool."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    real, lock, handled, draws = rng.uniforms, threading.Lock(), threading.Event(), []
+
+    def uniforms(seed, lane, start, count):
+        main = threading.current_thread() is threading.main_thread()
+        with lock:
+            draws.append((threading.get_ident(), start, len(draws) >= 8))  # (thread, block, after the signal)
+            if len(draws) == 8:
+                assert main == (workers == 1)
+                signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+        if len(draws) >= 8 and not main:
+            handled.wait(10)  # the main thread has taken the signal, whatever the GIL's turns
+        return real(seed, lane, start, count)
+
+    def on_sigint(signum, frame):
+        handled.set()
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(rng, "uniforms", uniforms)
+    previous = signal.signal(signal.SIGINT, on_sigint)
+    try:
+        code = cli_main(["run", "qle", "--trials", str(64 * CHUNK), "--workers", str(workers)])
+    except KeyboardInterrupt:  # escaped the CLI: fail below rather than end the test session
+        code = "KeyboardInterrupt"
+    finally:
+        signal.signal(signal.SIGINT, previous)
+    late = Counter(thread for thread, _ in {(thread, block) for thread, block, after in draws if after})
+    assert len(draws) >= 8 and max(late.values(), default=0) <= 1, late  # blocks each thread drew after the signal
+    assert code == 130
+    assert capsys.readouterr() == ("", "error: interrupted\n")
+
+
 # -- Monte Carlo boundaries -----------------------------------------------------------------
 
 
@@ -687,7 +727,6 @@ def test_library_seed_errors_are_simulator_errors():
 
 
 def test_out_of_stream_runs_are_refused_before_any_draw(monkeypatch, capsys):
-    from tisim import rng
     from tisim.errors import ContractError
 
     draws = []
