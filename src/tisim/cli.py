@@ -1,5 +1,8 @@
 """Command-line interface.
 
+run and path without --network, and verify, read the builtin networks this process
+shares, building each on first use.  verify --json prints the checklist as one JSON line.
+
 Exit codes: 0 success, 1 output pipe closed, 2 usage error, 3 failed verification,
 130 interrupted (Ctrl-C).
 """
@@ -7,7 +10,9 @@ Exit codes: 0 success, 1 output pipe closed, 2 usage error, 3 failed verificatio
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
+import json
 import os
 import sys
 
@@ -17,7 +22,6 @@ from .pathnotation import amplitude, format_expression, parse as parse_paths, su
 from .scenarios import (
     SCENARIOS,
     build_scenario,
-    qle_network,
     run_exact,
     run_mc,
     verification_checks,
@@ -47,6 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run the builtin amplitude and echo checks")
     verify.set_defaults(handler=_cmd_verify)
     verify.add_argument("--quiet", action="store_true", help="suppress per-check lines")
+    verify.add_argument("--json", action="store_true", help="print the checks as one JSON line")
 
     path = sub.add_parser("path", help="evaluate a path-notation expression")
     path.set_defaults(handler=_cmd_path)
@@ -87,18 +92,24 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.json and args.quiet:
+        raise UsageError("--json and --quiet exclude each other")
     checks = verification_checks()
-    failed = [c for c in checks if not c.passed]
-    if not args.quiet:
-        for c in checks:
-            status = "PASS" if c.passed else "FAIL"
-            print(f"{status} {c.name}: observed {c.observed} | expected {c.expected}")
-    print(f"{len(checks) - len(failed)}/{len(checks)} checks passed")
-    return 3 if failed else 0
+    passed = sum(c.passed for c in checks)
+    if args.json:
+        rows = [dataclasses.asdict(c) for c in checks]
+        print(json.dumps({"passed": passed, "total": len(checks), "checks": rows}, sort_keys=True))
+    else:
+        if not args.quiet:
+            for c in checks:
+                status = "PASS" if c.passed else "FAIL"
+                print(f"{status} {c.name}: observed {c.observed} | expected {c.expected}")
+        print(f"{passed}/{len(checks)} checks passed")
+    return 0 if passed == len(checks) else 3
 
 
 def _cmd_path(args) -> int:
-    network = load_network(args.network) if args.network else qle_network()
+    network = load_network(args.network) if args.network else build_scenario("qle").network
     aliases = {}
     for pair in args.alias:
         if "=" not in pair:

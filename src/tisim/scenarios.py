@@ -350,7 +350,12 @@ def _close(a: complex, b: complex, tol: float = 1e-12) -> bool:
 
 
 def verification_checks() -> list[Check]:
-    """Run the amplitude, cancellation, and echo identities as assertions."""
+    """Run the amplitude, cancellation, and echo identities as assertions.
+
+    Hardy and qle are the builtin networks that ``build_scenario`` shares, so a second call walks,
+    validates and tabulates neither; the two-laser twin is derived from qle afresh on every call,
+    since deriving it is what its check tests.
+    """
     checks: list[Check] = []
 
     def check(name: str, passed: bool, observed, expected):
@@ -381,7 +386,7 @@ def verification_checks() -> list[Check]:
     )
 
     # single-atom interferometer: detector-region amplitudes and absorbed mass
-    hardy = hardy_network()
+    hardy = _builtin_network("hardy-ifm", None)
     trace = hardy._offer_wave
     got = trace.continuing
     expectations = {
@@ -421,7 +426,7 @@ def verification_checks() -> list[Check]:
     check("cw-echo-one-eighth", ok, f"{echo.emitter_amplitudes} product={echo.product()}", "[1/4][1/2] = 1/8")
 
     # two-atom experiment: final coefficients and the post-selected pair
-    qle = qle_network()
+    qle = _builtin_network("qle", None)
     final = qle._offer_wave.continuing
     expectations = {
         ("d", "+", "0", "+", "0"): 0.25,

@@ -1,14 +1,16 @@
 """Runs of a builtin scenario share one network per process; every other network is built afresh."""
 
+import contextlib
+import io
 import itertools
 
 import pytest
 
 import tisim as t
-from tisim import engine
+from tisim import cli, engine
 from tisim import network as network_module
 from tisim.errors import SimulatorError
-from tisim.scenarios import _builtin_network, build_scenario, run_exact, run_mc, scenario_names
+from tisim.scenarios import _builtin_network, build_scenario, run_exact, run_mc, scenario_names, verification_checks
 
 BUILTINS = [("ev-bomb", {"bomb": "present"}), ("ev-bomb", {"bomb": "absent"})] + [
     (name, {}) for name in scenario_names() if name != "ev-bomb"
@@ -94,3 +96,34 @@ def test_warm_runs_report_as_runs_on_a_fresh_network():
             assert report == cold, (name, params)
         else:
             assert [a.payload_equal(b) for a, b in zip(report, cold)] == [True, True], (name, params)
+
+
+def stdout_of(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(argv), out.getvalue()
+
+
+def test_verify_and_path_report_alike_on_cold_warm_and_used_networks():
+    path = ["path", "|L-_S1_-A-_S2_-D> + |L-S1-B-S2-D>"]
+    _builtin_network.cache_clear()
+    cold = verification_checks()
+    _builtin_network.cache_clear()
+    cold_path = stdout_of(path)
+    warm = verification_checks()
+    assert warm == cold
+    assert stdout_of(path) == cold_path
+    for name in scenario_names():  # every table of every builtin, left on the shared networks
+        if name == "qle-chsh":
+            assert stdout_of(["run", name, "--exact"])[0] == 0
+            continue
+        for bomb, basis, post in itertools.product(
+            ("present", "absent") if name == "ev-bomb" else (None,), ("z", "y", "bloch:30,40"), ("none", "d")
+        ):
+            argv = ["run", name, "--exact", "--atom-basis", basis, "--post-select", post]
+            code, _ = stdout_of(argv + (["--bomb", bomb] if bomb else []))
+            # a present bomb's one symbol does not rotate; with the bomb absent the dark port never fires
+            refused = basis != "z" if bomb == "present" else (bomb, post) == ("absent", "d")
+            assert code == (2 if refused else 0), argv
+    assert verification_checks() == cold
+    assert stdout_of(path) == cold_path

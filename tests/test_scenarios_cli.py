@@ -20,6 +20,7 @@ from tisim.network import AtomBox
 from tisim.scenarios import (
     Check,
     RunReport,
+    _builtin_network,
     build_scenario,
     run_exact,
     run_mc,
@@ -473,9 +474,16 @@ def test_verify_walks_each_network_once(monkeypatch):
     import tisim.network as network_module
 
     walked, emit = [], network_module.emitted_state  # every offer-wave walk starts from the emitted state
+    validated, validate = [], network_module.validate
     monkeypatch.setattr(network_module, "emitted_state", lambda net: walked.append(net.name) or emit(net))
+    monkeypatch.setattr(network_module, "validate", lambda net: validated.append(net.name) or validate(net))
+    _builtin_network.cache_clear()
     assert all(c.passed for c in verification_checks())
     assert walked == ["hardy-ifm", "qle", "qle-two-laser"]
+    walked.clear()
+    validated.clear()
+    assert all(c.passed for c in verification_checks())
+    assert walked == validated == ["qle-two-laser"]  # hardy and qle are shared; the twin is derived again
 
 
 def test_cli_verify_passes():
@@ -494,6 +502,34 @@ def test_cli_verify_exit_three_on_failure(monkeypatch, capsys):
     code = cli_main(["verify"])
     assert code == 3
     assert "FAIL stub" in capsys.readouterr().out
+    assert cli_main(["verify", "--json"]) == 3
+    assert json.loads(capsys.readouterr().out) == {
+        "passed": 0,
+        "total": 1,
+        "checks": [{"name": "stub", "passed": False, "observed": "0", "expected": "1"}],
+    }
+
+
+def test_cli_verify_json_is_the_checklist_on_one_sorted_line(capsys):
+    assert cli_main(["verify", "--json"]) == 0
+    out = capsys.readouterr().out
+    report = json.loads(out)
+    checks = verification_checks()
+    assert report == {
+        "passed": len(checks),
+        "total": len(checks),
+        "checks": [
+            {"name": c.name, "passed": c.passed, "observed": c.observed, "expected": c.expected} for c in checks
+        ],
+    }
+    assert out == json.dumps(report, sort_keys=True) + "\n"
+
+
+def test_cli_verify_json_and_quiet_exit_two(capsys):
+    assert cli_main(["verify", "--json", "--quiet"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --json and --quiet exclude each other\n"
 
 
 class _ClosedPipe:
