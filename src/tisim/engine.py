@@ -41,6 +41,7 @@ from .network import Network, _source_couplings, confirmation_wave
 
 LANE_OUTCOME = 0  # final outcome draw; hierarchy stage k draws on lane 1 + k
 CHUNK = 2**16  # trials drawn at a time: a block's uniforms (512 KiB) and masks stay in L2, and memory stays flat
+TRIALS_MAX = 2**63 - 1  # trials one run counts on a stream: the counts are int64
 COMPARE_MAX = 256  # up to this many candidates, counting comparisons beats searchsorted on a block
 STAGE_TABLES = 4  # stage tables a network keeps, one per recent context: the four CHSH settings
 
@@ -450,6 +451,8 @@ def _tally(table: _StageTable, seed: int, lane: int, start: int, trials: int, wo
     if workers < 1:
         raise UsageError("workers must be >= 1")
     rng.check_stream(seed, start, trials)  # before the first block, not at the one that leaves the stream
+    if trials > TRIALS_MAX:  # such a run could never finish, and its counts would wrap
+        raise ContractError(f"{trials} trials on one stream are more than a run can count ({TRIALS_MAX})")
     blocks, stop = range(start, start + trials, CHUNK), start + trials  # slicing a range takes no memory
     threads = min(workers, os.cpu_count() or 1, len(blocks))
     reach = (*(p > 0.0 for p in table.fractions), all(p < 1.0 for p in table.fractions))  # the stages a trial reaches

@@ -5,9 +5,13 @@ so the value of trial ``i`` never depends on how many trials ran before it or
 on how a batch was split across workers.  ``lane`` separates independent
 decision streams within one trial family (e.g. the final outcome draw versus
 per-stage absorption draws).  Seeds are 64-bit: any integer in [0, 2**64).
+Each thread keeps one generator and re-keys it for every draw: only the key
+``(seed, lane)`` and the block counter change, so nothing is rebuilt.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -18,12 +22,19 @@ from .errors import ContractError
 # consumes exactly one word per float64, so trial i lives at counter i // 4,
 # word i % 4.  Slices of the stream are therefore chunk-invariant.
 _WORDS_PER_BLOCK = 4
+_local = threading.local()  # one generator per thread, so threads never share a stream position
 
 
 def _generator(seed: int, lane: int, block: int) -> Generator:
-    key = np.array([np.uint64(seed), np.uint64(lane)], dtype=np.uint64)
-    counter = np.array([block, 0, 0, 0], dtype=np.uint64)  # counter[0] is the low word
-    return Generator(Philox(counter=counter, key=key))
+    """This thread's generator, set to where ``Philox(counter=[block, 0, 0, 0], key=[seed, lane])`` starts."""
+    if (generator := getattr(_local, "generator", None)) is None:
+        generator = _local.generator = Generator(Philox(0))
+    # counter[0] is the low word; buffer_pos 4 is an empty buffer, so the first draw computes block + 1
+    state = {"counter": [block, 0, 0, 0], "key": [seed, lane]}
+    generator.bit_generator.state = {
+        "bit_generator": "Philox", "state": state, "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0
+    }
+    return generator
 
 
 def check_stream(seed: int, start: int, count: int) -> None:

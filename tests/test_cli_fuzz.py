@@ -14,7 +14,7 @@ import json
 from unittest import mock
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tisim as t
@@ -25,7 +25,8 @@ from tisim.scenarios import SCENARIOS
 PARSER = cli._build_parser()
 SUBCOMMANDS = next(a for a in PARSER._actions if isinstance(a, argparse._SubParsersAction)).choices
 MAX_RUN_TRIALS = 10**4
-STREAM = 2**66  # trial indices per stream: a run of up to this many trials on one stream really runs
+STREAM = 2**66  # trial indices per stream
+COUNTABLE = 2**63 - 1  # trials one run counts on a stream: a run of up to this many really runs
 NETWORK_FILES = ("valid.json", "invalid.json", "missing.json")  # resolved in the test's directory
 
 
@@ -40,7 +41,7 @@ VALUES = {
         ["|L-S1-B-S2-D>", "|L-_S1_-A-_S2_-D> + |L-S1-B-S2-D>", "|Laser-S1-BoxA-S2-Dark>"], ["|X>", "|_>", "", "|L>|+>", "|L−S1>", "|Ł>"]
     ),
     "seed": mostly([0, 2**64 - 1], [-1, 2**64, "nan", "x"]),
-    # counts in (10**4, STREAM] are never drawn: they fit in the stream and would run
+    # counts in (10**4, COUNTABLE] are never drawn: they would run
     "trials": st.one_of(st.integers(1, MAX_RUN_TRIALS), st.sampled_from([-1, 0, STREAM + 1, 10**23, "inf"])).map(str),
     # threads are capped by the CPU and block counts, so a billion workers start no more than a few
     "workers": mostly([1, 2, 10**9], [-1, 0]),
@@ -69,8 +70,6 @@ def command_lines(draw) -> list[str]:
         argv.append(draw(st.sampled_from(action.option_strings)))
         if action.nargs != 0:  # not a flag
             argv.append(draw(mostly(list(action.choices), ["nope"]) if action.choices else VALUES[action.dest]))
-    # qle-chsh spreads its pairs over four streams, so STREAM + 1 of them fit and would run
-    assume(not {"qle-chsh", str(STREAM + 1)} <= set(argv))
     return argv + ([draw(JUNK)] if draw(st.integers(0, 9)) == 0 else [])  # a stray token one time in ten
 
 
@@ -114,6 +113,8 @@ def check(argv: list[str]) -> None:
 @example(argv=["run", "qle", "--trials", str(MAX_RUN_TRIALS), "--workers", str(10**9), "--seed", str(2**64 - 1)])
 @example(argv=["run", "qle", "--trials", "10", "--seed", str(2**64)])
 @example(argv=["run", "qle-chsh", "--trials", str(4 * STREAM + 1)])  # one pair past the fourth stream
+@example(argv=["run", "qle-chsh", "--trials", str(4 * COUNTABLE + 1)])  # one pair more than the first setting counts
+@example(argv=["run", "qle", "--trials", str(COUNTABLE + 1)])
 @example(argv=["run", "qle", "--trials", str(STREAM + 1)])
 @example(argv=["run", "qle", "--trials", "0"])
 @example(argv=["run", "qle", "--trials", "-1"])

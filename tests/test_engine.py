@@ -1,9 +1,11 @@
 import dataclasses
 import math
+import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
 import tisim as t
 from tisim.engine import (
@@ -575,6 +577,51 @@ def test_empty_stream_slices_are_empty_at_both_ends_of_the_stream():
         assert empty.dtype == np.float64 and empty.shape == (0,)
     with pytest.raises(OverflowError):
         _generator(1, 0, 2**64)
+
+
+def fresh_stream(seed: int, lane: int, start: int, count: int) -> np.ndarray:
+    """``uniforms(seed, lane, start, count)`` from a Philox built for the call."""
+    block, offset = divmod(start, 4)
+    counter = np.array([block, 0, 0, 0], dtype=np.uint64)
+    key = np.array([seed, lane], dtype=np.uint64)
+    return Generator(Philox(counter=counter, key=key)).random(offset + count)[offset:]
+
+
+def test_rekeyed_generator_matches_a_fresh_philox():
+    for lane in (0, 1, 100):
+        for seed in (0, 2**64 - 1):
+            for start in (0, 1, 3, 4, 5, 2**64, 2**66 - 1):
+                count = min(9, 2**66 - start)
+                assert uniforms(seed, lane, start, count).tobytes() == fresh_stream(seed, lane, start, count).tobytes()
+
+    # each thread keys its own generator: a key set by the other thread between this one's
+    # keying and drawing leaves its stream as it was
+    barrier, drawn = threading.Barrier(2, timeout=10), {}
+
+    def draw(lane: int) -> None:
+        parts = []
+        for block in range(8):
+            generator = _generator(7, lane, block)
+            barrier.wait()  # the other thread keys its generator here
+            parts.append(generator.random(4))
+            barrier.wait()
+            parts.append(uniforms(7, lane, 4 * block + 4, 3))
+        drawn[lane] = parts
+
+    threads = [threading.Thread(target=draw, args=(lane,)) for lane in (0, 1)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+    assert sorted(drawn) == [0, 1]  # neither thread raised
+    for lane in (0, 1):
+        expected = [fresh_stream(7, lane, 4 * block + k, n) for block in range(8) for k, n in ((0, 4), (4, 3))]
+        assert [p.tobytes() for p in drawn[lane]] == [e.tobytes() for e in expected]
+
+    with pytest.raises(OverflowError):
+        _generator(1, 0, 2**64)
+    assert uniforms(1, 0, 5, 6).tobytes() == fresh_stream(1, 0, 5, 6).tobytes()  # the refused key left nothing behind
 
 
 def hardy_with_second_box():

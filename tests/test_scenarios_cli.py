@@ -472,6 +472,7 @@ def test_cli_path_syntax_error_exits_two():
 
 def test_verify_walks_each_network_once(monkeypatch):
     import tisim.network as network_module
+    import tisim.scenarios as scenarios_module
 
     walked, emit = [], network_module.emitted_state  # every offer-wave walk starts from the emitted state
     validated, validate = [], network_module.validate
@@ -482,8 +483,17 @@ def test_verify_walks_each_network_once(monkeypatch):
     assert walked == ["hardy-ifm", "qle", "qle-two-laser"]
     walked.clear()
     validated.clear()
+    tabulated, enumerate_transactions = [], scenarios_module.enumerate_transactions
+    monkeypatch.setattr(
+        scenarios_module,
+        "enumerate_transactions",
+        lambda net, context: tabulated.append(net) or enumerate_transactions(net, context),
+    )
     assert all(c.passed for c in verification_checks())
-    assert walked == validated == ["qle-two-laser"]  # hardy and qle are shared; the twin is derived again
+    assert walked == validated == []  # hardy, qle and qle's two-laser twin are all shared
+    # verify's twin is the qle-two-laser scenario's network, and the qle it is checked against is qle's
+    qle, twin = build_scenario("qle").network, build_scenario("qle-two-laser").network
+    assert len(tabulated) == 2 and tabulated[0] is qle and tabulated[1] is twin
 
 
 def test_cli_verify_passes():
@@ -790,6 +800,44 @@ def test_out_of_stream_runs_are_refused_before_any_draw(monkeypatch, capsys):
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: "), argv
     assert draws == []
+
+
+def test_runs_past_the_int64_counts_are_refused_before_any_draw(monkeypatch, capsys):
+    from tisim.engine import TRIALS_MAX
+    from tisim.errors import ContractError
+
+    class Drew(Exception):
+        pass
+
+    def no_draw(*args):  # raise, so a run the bound lets through stops at its first draw instead of running for ages
+        raise Drew(args)
+
+    qle = t.qle_network()
+    settings = t.ChshSettings(a=(0.0, 0.0), a_prime=(1.0, 0.0), b=(0.5, 0.0), b_prime=(1.5, 0.0))
+    dist = t.enumerate_transactions(qle, t.z_context(qle))
+    assert TRIALS_MAX == 2**63 - 1
+    monkeypatch.setattr(rng, "uniforms", no_draw)
+    for trials in (2**63, 2**66):
+        for call in (
+            lambda: t.sample_flat(dist, trials, 5),
+            lambda: t.sample_flat(dist, trials, 5, workers=2),
+            lambda: t.sample_hierarchical(qle, t.z_context(qle), trials, 5),
+            lambda: t.chsh_monte_carlo(qle, settings, 4 * trials, 5),
+            lambda: t.chsh_monte_carlo(qle, settings, 4 * (trials - 1) + 1, 5),  # only the first setting's stream
+        ):
+            with pytest.raises(ContractError, match="more than a run can count"):
+                call()
+    for call in (  # at the bound the run starts drawing
+        lambda: t.sample_flat(dist, 2**63 - 1, 5),
+        lambda: t.sample_hierarchical(qle, t.z_context(qle), 2**63 - 1, 5),
+        lambda: t.chsh_monte_carlo(qle, settings, 4 * (2**63 - 1), 5),
+    ):
+        with pytest.raises(Drew):
+            call()
+    for argv in (["run", "qle", "--trials", str(2**63)], ["run", "qle-chsh", "--trials", str(4 * 2**63)]):
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and "more than a run can count" in err, argv
 
 
 def with_element_field(element_id, field, value) -> dict:
