@@ -18,7 +18,8 @@ amplitudes; equality checks are tolerance-based (``TOL``) and terms below
 literally empty component.  Results are bit-identical to Python complex
 arithmetic on any CPU: products are split float64 (``ar*br - ai*bi``,
 ``ar*bi + ai*br``; numpy's complex multiply and matmul may fuse multiply-adds),
-sums start at +0.0 and add in array order, squared moduli are Python's
+sums go through ``_total``, which starts at +0.0 and adds in order without the
+compensation CPython 3.12+ gives the builtin ``sum``, squared moduli are Python's
 ``abs(z) ** 2`` (``hypot``, then the C library's ``pow``), and the array order
 is the order a dict would have received the terms in, so ``norm_sq`` adds in
 the same order.
@@ -203,6 +204,13 @@ def _mul(ar, ai, br, bi):
     return ar * br - ai * bi, ar * bi + ai * br
 
 
+def _total(values, start=0.0):
+    """``start`` plus each value, left to right (``0j`` for complex sums), uncompensated."""
+    for value in values:
+        start += value
+    return start
+
+
 def _turn(re: np.ndarray, im: np.ndarray, axis: int, bras: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A linear map along ``axis`` of a dense register, row n of the bras ``f`` giving entry n:
     ``0.0 + f[n,0]·a₀ + f[n,1]·a₁ + …`` in split float64 (``_mul``).  As in ``rebase`` and the
@@ -284,7 +292,7 @@ def scale(c: complex, a):
 
 
 def norm_sq(a) -> float:
-    return float(sum(_squared_moduli(a._re, a._im)))
+    return _total(_squared_moduli(a._re, a._im))
 
 
 def _squared_moduli(re: np.ndarray, im: np.ndarray) -> list[float]:
@@ -316,7 +324,7 @@ def inner(bra: Bra, ket: Ket) -> complex:
     at = order[np.minimum(np.searchsorted(ket._codes, bra._codes, sorter=order), len(order) - 1)]
     hit = ket._codes[at] == bra._codes
     re, im = _mul(bra._re[hit], bra._im[hit], ket._re[at[hit]], ket._im[at[hit]])
-    return complex(sum(re.tolist()), sum(im.tolist()))  # added in array order
+    return complex(_total(re.tolist()), _total(im.tolist()))  # added in array order
 
 
 def project(a, subsystem: str, symbol: str):

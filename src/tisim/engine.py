@@ -34,6 +34,7 @@ from .amplitudes import (
     Space,
     SubsystemSpec,
     _squared_moduli,
+    _total,
     _turn,
 )
 from .errors import ContractError, StructuralError, UsageError, ValidationError
@@ -182,10 +183,10 @@ class OutcomeDistribution:
         return _rows(TransactionCandidate, self.outcomes, self.weights, self.amplitudes)
 
     def total_weight(self) -> float:
-        return float(sum(self.weights))
+        return float(_total(self.weights))
 
     def weight_of(self, label: str) -> float:
-        return sum(w for o, w in zip(self.outcomes, self.weights) if o.label == label)
+        return _total(w for o, w in zip(self.outcomes, self.weights) if o.label == label)
 
     def photon_marginal(self) -> dict[str, float]:
         out: dict[str, float] = {}
@@ -194,7 +195,7 @@ class OutcomeDistribution:
         return out
 
     def absorbed_probability(self) -> float:
-        return float(sum(w for o, w in zip(self.outcomes, self.weights) if o.excited is not None))
+        return float(_total(w for o, w in zip(self.outcomes, self.weights) if o.excited is not None))
 
     def _select(self, keep: Sequence[bool]) -> "OutcomeDistribution":
         """The candidates where ``keep`` is true, in their order, without sampled counts."""
@@ -312,7 +313,7 @@ def _stage_table(network: Network, bases: tuple[AtomBasis, ...]) -> _StageTable:
     survivors = np.array([name not in plan.boxes for name in names]).repeat(counts).nonzero()[0]
     where = (*(np.arange(*bounds[box_id]) for box_id, _ in trace.absorbed), survivors)
     born = np.array(weights)
-    masses = tuple(sum(born[pos].tolist()) for pos in where)
+    masses = tuple(_total(born[pos].tolist()) for pos in where)
     atom_space = tuple(SubsystemSpec(a.id, a.kind, b.symbols(a)) for a, b in zip(atoms, bases))
     flat = OutcomeDistribution(outcomes, tuple(weights), tuple(amps.tolist()), "flat", atom_space)
     return _StageTable(trace.box_fractions, where, born, flat, masses)
@@ -373,7 +374,7 @@ def echo_weight(network: Network, outcome: Outcome, context: MeasurementContext)
         if symbol not in symbols or len(rows) != len(spec.basis):
             raise ContractError(f"outcome {outcome.label!r}: atom {spec.id!r} cannot read {symbol!r} in {basis.kind}")
         bras.append(rows[symbols.index(symbol)])
-    return abs(sum(_source_couplings(wave, bras))) ** 2
+    return abs(_total(_source_couplings(wave, bras), 0j)) ** 2
 
 
 # -- resolution (sampling) -----------------------------------------------------
@@ -539,7 +540,7 @@ def post_select(
     else:
         pred = predicate
     selected = dist._select([pred(o.photon) for o in dist.outcomes])
-    total = sum(selected.weights)
+    total = _total(selected.weights)
     if not selected.outcomes or total <= 0.0:
         raise ContractError("post-selection matched no outcome with nonzero weight")
     scale = math.sqrt(total)
@@ -614,11 +615,8 @@ def pair_correlation(network: Network, dist: OutcomeDistribution) -> float | Non
     if len(atoms) != 2 or any(len(a.basis) != 2 for a in atoms):
         return None
     z, measured = {a.id: a.basis[0] for a in atoms}, {a.id: a.basis[0] for a in dist.atom_space}
-    e = 0.0
-    for o, w in zip(dist.outcomes, dist.weights):
-        first = [sym == (z if atom == o.excited else measured)[atom] for atom, sym in o.atoms]
-        e += w if first[0] == first[1] else -w
-    return e
+    first = ([sym == (z if atom == o.excited else measured)[atom] for atom, sym in o.atoms] for o in dist.outcomes)
+    return _total(w if a == b else -w for (a, b), w in zip(first, dist.weights))
 
 
 def chsh(network: Network, settings: ChshSettings, post: str = "D") -> ChshResult:

@@ -42,6 +42,7 @@ from .amplitudes import (
     SubsystemSpec,
     _apply_symbol_map,
     _mul,
+    _total,
     _turn,
     add,
     approx_equal,
@@ -265,7 +266,7 @@ class PropagationTrace:
     box_fractions: tuple[float, ...] = ()
 
     def absorbed_total(self) -> float:
-        return float(sum(norm_sq(k) for _, k in self.absorbed))
+        return float(_total(norm_sq(k) for _, k in self.absorbed))
 
     def absorbed_ket(self, box_id: str) -> Ket:
         for bid, k in self.absorbed:
@@ -304,7 +305,7 @@ class EchoReport:
 
     @property
     def photon_group_amplitude(self) -> complex:
-        return sum(self.sector_amplitudes[eid] for eid in self.photon_group)
+        return _total((self.sector_amplitudes[eid] for eid in self.photon_group), 0j)
 
     def product(self) -> float:
         group = self.photon_group_ow * abs(self.photon_group_amplitude)
@@ -684,14 +685,14 @@ def backward_propagate(
     for e in plan.atom_sources:
         spin_spec, *level = e.state.space
         ground = tuple(spec.basis[0] for spec in level)  # the box's step back restores it before the source
-        a_k = sum(b * e.state.amplitude((s, *ground)) for (s,), b in atom_bras[spin_spec.id].terms.items())
+        a_k = _total((b * e.state.amplitude((s, *ground)) for (s,), b in atom_bras[spin_spec.id].terms.items()), 0j)
         sector[e.id] = a_k
         atom_product *= a_k
 
     # the photon sources add coherently: the joint amplitude is the sum of their couplings
     _, wave = confirmation_wave(network, terminal)
     couplings = [coefficient * z for z in _source_couplings(wave, vectors)]
-    a_total = sum(couplings)
+    a_total = _total(couplings, 0j)
     for e, s_e in zip(plan.photon_sources, couplings):
         sector[e.id] = s_e / atom_product if abs(atom_product) > 0 else 0j
 
@@ -700,7 +701,7 @@ def backward_propagate(
     if len(group) == 1 and group[0] in ow_amplitudes:
         group_ow = float(ow_amplitudes[group[0]])
     else:
-        group_ow = abs(sum(sector[eid] for eid in group))
+        group_ow = abs(_total((sector[eid] for eid in group), 0j))
     return EchoReport(
         emitter_amplitudes=emitter_amplitudes, sector_amplitudes=sector, photon_group=group,
         photon_group_ow=group_ow, amplitude=a_total, weight=abs(a_total) ** 2,
@@ -958,6 +959,6 @@ def load_network(path: str | Path) -> Network:
     """Read a description file; any failure to read or parse it is a ``ValidationError``."""
     try:
         data = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as err:  # ValueError covers JSON and UTF-8 decoding
+    except (OSError, ValueError, RecursionError) as err:  # JSON and UTF-8 decoding; nesting too deep to decode
         raise ValidationError(f"cannot read network file {str(path)!r}: {err}") from err
     return network_from_dict(data)

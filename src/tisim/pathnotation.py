@@ -30,11 +30,12 @@ import re
 from dataclasses import dataclass
 from typing import Mapping
 
-from .amplitudes import TOL
+from .amplitudes import TOL, _total
 from .errors import PathSyntaxError, ResolutionError, StructuralError
 from .network import BeamSplitter, Detector, Emitter, Mirror, Network, _symbol_table
 
-_MINUS = "-−"
+_MINUS = ("-", "−")  # tuples: the "" that peek() reads at the end of the text is in every string
+_SIGNS = ("+", *_MINUS)
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9]*")
 _DECIMAL = re.compile(r"\d+(?:\.\d+)?")
 
@@ -94,13 +95,13 @@ def parse(text: str) -> PathExpression:
     sc = _Scanner(text)
     terms: list[PathKet] = []
     sign = 1.0
-    if sc.peek() in "+" + _MINUS:  # tolerated leading sign
+    if sc.peek() in _SIGNS:  # tolerated leading sign
         sign = -1.0 if sc.peek() in _MINUS else 1.0
         sc.pos += 1
     terms.append(_parse_term(sc, sign))
     while not sc.done():
         op = sc.peek()
-        if op not in "+" + _MINUS:
+        if op not in _SIGNS:
             raise PathSyntaxError(f"expected '+' or '-', found {op!r}", sc.pos)
         sc.pos += 1
         terms.append(_parse_term(sc, -1.0 if op in _MINUS else 1.0))
@@ -132,7 +133,7 @@ def _parse_term(sc: _Scanner, sign: float) -> PathKet:
         syms = []
         for _ in range(2):
             c = sc.peek()
-            if c not in "+" + _MINUS:
+            if c not in _SIGNS:
                 raise PathSyntaxError("atom ket must contain two spin symbols", sc.pos)
             syms.append("+" if c == "+" else "-")
             sc.pos += 1
@@ -237,7 +238,7 @@ def sum_amplitudes(
     expr: PathExpression, network: Network, aliases: Mapping[str, str] | None = None
 ) -> complex:
     """Coherent sum over the expression's terms; |sum| < 1e-12 is cancellation."""
-    return sum(amplitude(t, network, aliases) for t in expr.terms)
+    return _total((amplitude(t, network, aliases) for t in expr.terms), 0j)
 
 
 # -- route enumeration -------------------------------------------------------------
@@ -302,7 +303,7 @@ def surviving_detector_paths(
             )
             if not blocked:
                 open_routes.append(path)
-        total = sum(amplitude(p, network) for p in open_routes)
+        total = _total((amplitude(p, network) for p in open_routes), 0j)
         if open_routes and abs(total) > TOL:
             out.append((tuple(combo), tuple(open_routes), total))
     return out

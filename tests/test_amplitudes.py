@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tisim as t
-from tisim.amplitudes import SubsystemSpec, unit
+from tisim.amplitudes import SubsystemSpec, _total, unit
 from tisim.errors import StructuralError, ValidationError
 
 RT2 = math.sqrt(2.0)
@@ -386,6 +386,13 @@ def test_symbol_maps_match_dict_reference_in_values_and_order():
             assert exact_items(got.terms) == exact_items(dict_symbol_map(k.terms, 0, mapping))
 
 
+def test_total_adds_in_order_from_positive_zero_without_compensation():
+    assert _total([0.1] * 10) == 0.9999999999999999  # a compensated sum gives 1.0
+    assert _total([1e100, 1.0, -1e100]) == 0.0 and _total(iter([0.5, 0.25])) == 0.75
+    assert math.copysign(1.0, _total([-0.0])) == 1.0 and _total([]) == 0.0
+    assert _total([], 0j) == 0j and _total([1j, 0.5], 0j) == 0.5 + 1j
+
+
 def test_products_sums_and_norms_match_python_complex_arithmetic():
     rng = np.random.default_rng(12)
     for _ in range(50):
@@ -395,14 +402,20 @@ def test_products_sums_and_norms_match_python_complex_arithmetic():
         product = {la + lb: va * vb for la, va in a.terms.items() for lb, vb in b.terms.items()}
         assert exact_items(t.tensor(a, b).terms) == exact_items(product)
         assert exact_items(t.scale(c, a).terms) == exact_items({l: c * v for l, v in a.terms.items()})
-        assert t.norm_sq(b) == float(sum(abs(v) ** 2 for v in b.terms.values()))
+        norm = 0.0  # every sum adds in order from +0.0, uncompensated
+        for v in b.terms.values():
+            norm += abs(v) ** 2
+        assert t.norm_sq(b) == norm
         other = random_ket(rng, (PHOTON,), 4)
         total = {label: 0j + amp for label, amp in a.terms.items()}  # sums start at +0.0
         for label, amp in other.terms.items():
             total[label] = total.get(label, 0j) + amp
         assert exact_items(t.add(a, other).terms) == exact_items({l: v for l, v in total.items() if abs(v) >= 1e-14})
         bra = t.dual(other)
-        assert t.inner(bra, a) == sum(v * a.terms.get(l, 0j) for l, v in bra.terms.items())
+        overlap = 0j
+        for l, v in bra.terms.items():
+            overlap += v * a.terms.get(l, 0j)
+        assert t.inner(bra, a) == overlap
 
 
 def test_rebase_matches_dict_reference_values():

@@ -75,7 +75,9 @@ def test_rows_are_the_columns_of_every_distribution():
                 conditional, _ = t.post_select(sampled, photon)
                 # the renormalised rows, in Python float and complex arithmetic
                 selected = [c for c in rows if c.outcome.photon == photon]
-                total = sum(c.weight for c in selected)
+                total = 0.0  # added in order from +0.0, uncompensated
+                for c in selected:
+                    total += c.weight
                 expected = tuple(
                     c._replace(weight=c.weight / total, amplitude=c.amplitude / math.sqrt(total)) for c in selected
                 )

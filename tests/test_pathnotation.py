@@ -57,6 +57,10 @@ def test_parse_is_whitespace_insensitive():
         ("|L-_S1-D>", 6),  # unclosed reflection marker
         ("|L-S1-D> |+>", 11),  # short atom ket
         ("|L> ? |M>", 4),  # bad separator
+        ("", 0),           # the end of the text is no leading sign
+        ("   ", 3),
+        ("|L-S1-S2-D>|", 12),  # atom ket cut off at the end of the text
+        ("|L-S1-S2-D>|+", 13),
     ],
 )
 def test_parse_errors_carry_positions(text, position):

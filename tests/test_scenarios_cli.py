@@ -328,7 +328,7 @@ def test_cli_run_with_network_file_uses_its_atoms(tmp_path, capsys):
         assert loaded["outcomes"] == builtin["outcomes"]
 
 
-@pytest.mark.parametrize("case", ["missing", "not-json", "no-keys", "not-an-object"])
+@pytest.mark.parametrize("case", ["missing", "not-json", "no-keys", "not-an-object", "too-deep"])
 @pytest.mark.parametrize("command", [["run", "qle", "--exact"], ["path", "|L-S1-D>"]])
 def test_cli_network_file_failures_exit_two(case, command, tmp_path, capsys):
     path = tmp_path / "net.json"
@@ -338,6 +338,8 @@ def test_cli_network_file_failures_exit_two(case, command, tmp_path, capsys):
         path.write_text("{}")
     elif case == "not-an-object":
         path.write_text("[1, 2]")
+    elif case == "too-deep":
+        path.write_text("[" * 200_000 + "]" * 200_000)  # the JSON decoder recurses once per bracket
     assert cli_main([*command, "--network", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1

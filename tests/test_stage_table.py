@@ -271,11 +271,15 @@ def loop_hierarchical(net, ctx):
     for p_here, inner in stages:
         if p_here <= 0.0:
             continue
-        mass = sum(c.weight for c in inner)
+        mass = 0.0  # added in order from +0.0, uncompensated
+        for c in inner:
+            mass += c.weight
         for c in inner:
             candidates.append((c.outcome, survival * p_here * (c.weight / mass), c.amplitude))
         survival *= 1.0 - p_here
-    final_mass = sum(c.weight for c in final)
+    final_mass = 0.0
+    for c in final:
+        final_mass += c.weight
     if final_mass > 0.0:
         for c in final:
             candidates.append((c.outcome, survival * (c.weight / final_mass), c.amplitude))
