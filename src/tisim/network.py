@@ -284,7 +284,7 @@ class EchoReport:
     squared modulus, the Born weight of the anchoring outcome.
 
     ``sector_amplitudes`` splits the same amplitude per emitter (photon path
-    factor at the photon source, spin overlap at each atom source); the split
+    factor at the photon source, joint spin overlap at each atom source); the split
     is exact whenever the atom confirmation waves are basis states of the box
     orientation.  ``emitter_amplitudes`` is the source-matching bookkeeping
     view: each emitter reports (offer-wave amplitude seen by its absorber) x
@@ -419,11 +419,6 @@ def validate(network: Network) -> list[Diagnostic]:
         elif isinstance(e, Mirror) and not abs(abs(e.phase) - 1.0) <= TOL:  # a NaN phase fails too
             add_diag(e.id, "mirror-unitary", f"phase {e.phase!r} has modulus {abs(e.phase)!r}, expected 1 within {TOL}")
 
-    # detectors consume distinct symbols
-    det_syms = [d.input for d in network.detectors()]
-    if len(set(det_syms)) != len(det_syms):
-        add_diag(None, "detector-symbols", "two detectors consume the same photon symbol")
-
     # boxes reference real subsystems and carry unique markers
     sub_by_id = {s.id: s for s in network.subsystems}
     for b in network.boxes():
@@ -484,9 +479,12 @@ def _ports(e: Element) -> tuple[tuple[str, ...], tuple[str, ...]]:
         return (e.input,), ()
     if isinstance(e, AtomBox):
         return (e.path,), ()
-    if any(s.kind == "photon-path" for s in e.state.space):
-        return (), tuple(label[0] for label, _ in e.state.items())
-    return (), ()
+    return (), _emitted_symbols(e)
+
+
+def _emitted_symbols(e: Emitter) -> tuple[str, ...]:
+    """Each photon symbol an emitter emits, once, in term order, read from the photon's slot (0 once valid)."""
+    return tuple(dict.fromkeys(label[i] for i, s in enumerate(e.state.space) if s.kind == "photon-path" for label in e.state.terms))
 
 
 def _symbol_table(network: Network) -> tuple[dict[str, list[Element]], ...]:
@@ -608,10 +606,10 @@ def confirmation_wave(network: Network, terminal: str) -> tuple[str | None, np.n
         rows = []
         for e in plan.photon_sources:
             re, im = np.zeros(shape), np.zeros(shape)
-            for d in dict.fromkeys(e.state._codec.digit(e.state._codes, 0).tolist()):  # emitted photon digits
-                if photon.basis[d] in registers:  # the product in subsystem order, then the register
-                    emitted = _at_ground(e.state, {**digits, photon.id: d})
-                    value = reduce(lambda v, f: _mul(*v, *f), (*atoms, registers[photon.basis[d]]), emitted)
+            for sym in _emitted_symbols(e):
+                if sym in registers:  # the product in subsystem order, then the register
+                    emitted = _at_ground(e.state, {**digits, photon.id: photon.basis.index(sym)})
+                    value = reduce(lambda v, f: _mul(*v, *f), (*atoms, registers[sym]), emitted)
                     re, im = re + value[0], im + value[1]
             rows.append(np.ravel(re) + 1j * np.ravel(im))
         box = plan.boxes.get(terminal)
@@ -639,8 +637,9 @@ def backward_propagate(
     here.  ``atom_bras`` maps each atom-spin subsystem to the spin component
     of the confirmation wave (defaults to the blocking spin for the atom of
     an anchoring box); each photon source's row of the wave is contracted
-    with their tensor product.  Level coefficients are implied: excited for
-    the anchoring box's atom, ground otherwise.
+    with their tensor product, and each atom source's terms with the bras of
+    every atom it emits.  Level coefficients are implied: excited for the
+    anchoring box's atom, ground otherwise, where every source emits them.
 
     ``ow_amplitudes`` optionally overrides, per emitter id, the offer-wave
     amplitude the anchoring absorber saw, used only for the bookkeeping view
@@ -683,10 +682,12 @@ def backward_propagate(
     sector: dict[str, complex] = {}
     atom_product = 1.0 + 0j
     for e in plan.atom_sources:
-        spin_spec, *level = e.state.space
-        ground = tuple(spec.basis[0] for spec in level)  # the box's step back restores it before the source
-        a_k = _total((b * e.state.amplitude((s, *ground)) for (s,), b in atom_bras[spin_spec.id].terms.items()), 0j)
-        sector[e.id] = a_k
+        spins, terms = [(i, atom_bras[spec.id].terms) for i, spec in enumerate(e.state.space) if spec.kind == "atom-spin"], []
+        for label, amp in e.state.terms.items():
+            for i, bra in spins:
+                amp *= bra.get((label[i],), 0j)
+            terms.append(amp)
+        sector[e.id] = a_k = _total(terms, 0j)
         atom_product *= a_k
 
     # the photon sources add coherently: the joint amplitude is the sum of their couplings
@@ -724,26 +725,24 @@ def two_laser_variant(network: Network) -> Network:
     if len(emitters) != 1:
         raise ContractError("two-source variant needs a single-photon-emitter network")
     emitter = emitters[0]
-    support = [(label[0], amp) for label, amp in emitter.state.items()]
-    if len(support) != 1:
-        raise ContractError("photon emitter must emit a single symbol")
-    src_symbol, src_amp = support[0]
+    if len(emitter.state) != 1 or len(emitter.state.space) != 1:  # each twin would emit its atoms again
+        raise ContractError("photon emitter must emit a single symbol, and no atom beside it")
+    inputs = _emitted_symbols(emitter)
     splitter = next(
         (
             e
             for e in network.elements
-            if isinstance(e, BeamSplitter) and e.inputs == (src_symbol,)
+            if isinstance(e, BeamSplitter) and e.inputs == inputs
         ),
         None,
     )
     if splitter is None:
         raise ContractError("no beam splitter fed exclusively by the photon emitter")
 
-    photon = network.photon
     out0, out1 = splitter.outputs
     new_emitters = []
     for sym, factor in ((out0, _R), (out1, _T)):
-        state = unit((photon,), (sym,), src_amp * factor)
+        state = _apply_symbol_map(emitter.state, 0, {inputs[0]: [(sym, factor)]})
         new_emitters.append(Emitter(id=f"{emitter.id}-{sym}", rank=emitter.rank, state=state))
     elements = tuple(
         e for e in network.elements if e.id not in (emitter.id, splitter.id)

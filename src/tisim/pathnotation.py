@@ -32,7 +32,7 @@ from typing import Mapping
 
 from .amplitudes import TOL, _total
 from .errors import PathSyntaxError, ResolutionError, StructuralError
-from .network import BeamSplitter, Detector, Emitter, Mirror, Network, _symbol_table
+from .network import BeamSplitter, Detector, Emitter, Mirror, Network, _emitted_symbols, _symbol_table
 
 _MINUS = ("-", "−")  # tuples: the "" that peek() reads at the end of the text is in every string
 _SIGNS = ("+", *_MINUS)
@@ -272,8 +272,8 @@ def enumerate_paths(network: Network) -> list[PathKet]:
                 walk(out_sym, segments + (PathSegment(consumer.id, reflected=reflected),))
 
     for emitter in network.photon_emitters():
-        for label, _ in emitter.state.items():
-            walk(label[0], (PathSegment(emitter.id),))
+        for symbol in _emitted_symbols(emitter):
+            walk(symbol, (PathSegment(emitter.id),))
     return paths
 
 

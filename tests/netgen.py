@@ -4,6 +4,7 @@ descriptions for the validator's boundary tests."""
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -112,6 +113,50 @@ def random_network(rng: np.random.Generator, index: int) -> Network:
     return Network(f"random-{index}", (photon, *specs), tuple(elements))
 
 
+def _random_ket(rng: np.random.Generator, space, photon_symbols=()) -> Ket:
+    """A random normalised ket over ``space``: Gaussian amplitudes on a random
+    subset of the labels whose photon symbol is in ``photon_symbols`` and whose
+    levels are at ground, so some spin configurations are never emitted."""
+    slots = [photon_symbols if s.kind == "photon-path" else s.basis[:1] if s.kind == "atom-level" else s.basis for s in space]
+    labels = list(itertools.product(*slots))
+    labels = [label for label, kept in zip(labels, rng.random(len(labels)) < 0.6) if kept] or labels[:1]
+    raw = [complex(*rng.normal(size=2)) for _ in labels]
+    nrm = math.sqrt(sum(abs(z) ** 2 for z in raw))
+    return Ket(tuple(space), {label: z / nrm for label, z in zip(labels, raw)})
+
+
+def reshaped_networks(shape: str, seed: int, count: int) -> list[Network]:
+    """``count`` ``random_network`` outputs with their atoms emitted in another shape.
+
+    ``"one-source"``: every atom of a network with two comes from one source
+    ``atoms``, emitting a random normalised state over all their spins.
+    ``"entangled-laser"``: the laser ``L`` emits its photon symbol together with
+    the first atom (declared next to the photon) in a random normalised state,
+    in place of that atom's source.  Levels are at ground.  ``random_network``
+    draws from a generator of its own, so its draws are what they would be
+    without the reshaping.
+    """
+    nets_rng, states_rng = np.random.default_rng([seed, 0]), np.random.default_rng([seed, 1])
+    out: list[Network] = []
+    index = 0
+    while len(out) < count:
+        net = random_network(nets_rng, index)
+        index += 1
+        atoms = [e for e in net.emitters() if e.id != "L"]
+        if shape == "one-source" and len(atoms) == 2:
+            source = Emitter("atoms", 0, _random_ket(states_rng, net.subsystems[1:]))
+            elements = tuple(e for e in net.elements if e not in atoms) + (source,)
+        elif shape == "entangled-laser" and atoms:
+            laser = net.element("L")
+            space = (net.photon, *atoms[0].state.space)
+            state = _random_ket(states_rng, space, tuple(label[0] for label in laser.state.terms))
+            elements = tuple(Emitter("L", 0, state) if e is laser else e for e in net.elements if e is not atoms[0])
+        else:
+            continue
+        out.append(dataclasses.replace(net, name=f"{net.name}-{shape}", elements=elements))
+    return out
+
+
 def qle_with_mirror(re, im=0.0) -> dict:
     """The qle description with a mirror ``M``: v -> w, phase ``re + i im``, in front of S2."""
     data = network_to_dict(qle_network())
@@ -209,3 +254,23 @@ def definite_spins(n: int) -> Network:
     elements = [Emitter("L", 0, unit((photon,), ("s",))), Detector("D", 1, "s")]
     elements += [Emitter(f"atom{k}-source", 0, unit((spin,), ("+",))) for k, spin in enumerate(spins)]
     return Network(f"definite-spins-{n}", (photon, *spins), tuple(elements))
+
+
+def qle_two_atom_source() -> Network:
+    """qle whose two atoms come from one source ``atoms-source`` emitting
+    (|+0+0> + |-0-0>)/sqrt(2) over ``(atom1, atom1-level, atom2, atom2-level)``."""
+    qle = qle_network()
+    space = qle.subsystems[1:]
+    state = Ket(space, {("+", "0", "+", "0"): 1 / math.sqrt(2.0), ("-", "0", "-", "0"): 1 / math.sqrt(2.0)})
+    elements = tuple(e for e in qle.elements if not e.id.startswith("atom")) + (Emitter("atoms-source", 0, state),)
+    return dataclasses.replace(qle, elements=elements)
+
+
+def hardy_entangled_laser() -> Network:
+    """hardy whose laser ``L`` emits (|s,+,0> + i|s,-,0>)/sqrt(2) over
+    ``(photon, atom1, atom1-level)``, with no separate atom source: two terms
+    carry the one photon symbol ``s``."""
+    hardy = hardy_network()
+    state = Ket(hardy.subsystems, {("s", "+", "0"): 1 / math.sqrt(2.0), ("s", "-", "0"): 1j / math.sqrt(2.0)})
+    elements = tuple(Emitter("L", 0, state) if e.id == "L" else e for e in hardy.elements if e.id != "atom1-source")
+    return dataclasses.replace(hardy, elements=elements)

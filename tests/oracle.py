@@ -31,20 +31,22 @@ def _pos(network: Network, subsystem: str, symbol: str) -> int:
 
 
 def initial_state(network: Network) -> np.ndarray:
-    """Every emitter's amplitudes as one array; photon emitters add coherently."""
+    """Every emitter's amplitudes as one array; photon emitters add coherently.
+
+    A photon emitter may emit atoms beside the photon; the photon emitters of
+    a valid network all emit on one space, so their arrays add."""
     photon = network.subsystems[0]
-    photon_amps = np.zeros(len(photon.basis), dtype=complex)
-    factors, order = [], [photon.id]
+    photon_amps, factors, order = 0.0, [], []
     for e in network.emitters():
         local = np.zeros([len(s.basis) for s in e.state.space], dtype=complex)
         for label, amp in e.state.items():
             local[tuple(s.basis.index(sym) for s, sym in zip(e.state.space, label))] += amp
-        if [s.id for s in e.state.space] == [photon.id]:
-            photon_amps += local
+        if any(s.id == photon.id for s in e.state.space):
+            photon_amps, photon_space = photon_amps + local, [s.id for s in e.state.space]
         else:
             factors.append(local)
             order += [s.id for s in e.state.space]
-    state = photon_amps
+    state, order = photon_amps, photon_space + order
     for local in factors:
         state = np.multiply.outer(state, local)
     return np.transpose(state, [order.index(s.id) for s in network.subsystems])

@@ -14,9 +14,11 @@ from tisim.network import AtomBox, BeamSplitter, Detector, Emitter, Network, _ke
 from netgen import (
     definite_spins,
     hardy_emitting_excited_levels,
+    hardy_entangled_laser,
     hardy_two_source_unequal_photon_spaces,
     qle_emitting_level_first,
     qle_emitting_undeclared_spin,
+    qle_two_atom_source,
     qle_with_mirror,
     qle_with_three_outputs,
     random_network,
@@ -68,6 +70,12 @@ def test_double_box_on_one_path_is_flagged(qle):
     bad = dataclasses.replace(qle, elements=tuple(elements))
     diags = t.validate(bad)
     assert any(d.rule == "consumed-twice" and "consumed twice" in d.message for d in diags)
+
+
+def test_two_detectors_on_one_symbol_give_one_diagnostic(qle):
+    second = Detector("D2", qle.element("D").rank, "d")
+    diags = t.validate(dataclasses.replace(qle, elements=qle.elements + (second,)))
+    assert [str(d) for d in diags] == ["consumed-twice [D2]: photon-path symbol 'd' consumed twice (D, D2)"]
 
 
 def test_unconsumed_symbol_is_flagged(qle):
@@ -262,8 +270,10 @@ def assert_echo_identity(net):
         assert abs(report.amplitude - forward_amp) < 1e-12
 
 
+@pytest.mark.simd
 def test_echo_identity_on_builtins(hardy, qle, bomb_present):
-    for net in (hardy, qle, bomb_present, t.two_laser_variant(qle)):
+    # the last two emit an atom beside another atom or beside the photon
+    for net in (hardy, qle, bomb_present, t.two_laser_variant(qle), qle_two_atom_source(), hardy_entangled_laser()):
         assert_echo_identity(net)
 
 
@@ -350,6 +360,17 @@ def test_two_laser_requires_one_photon_symbol_feeding_one_splitter(bomb_absent):
         t.two_laser_variant(with_source(t.Ket((photon,), {("s",): 0.6, ("u",): 0.8})))
     with pytest.raises(ContractError, match="no beam splitter fed exclusively by the photon emitter"):
         t.two_laser_variant(with_source(unit((photon,), ("u",))))  # S2 is fed by u and v
+
+
+def test_two_laser_refuses_a_laser_that_emits_an_atom(hardy):
+    laser = Emitter("L", 0, t.Ket(hardy.subsystems, {("s", "+", "0"): 1.0}))
+    one_term = dataclasses.replace(
+        hardy, elements=tuple(laser if e.id == "L" else e for e in hardy.elements if e.id != "atom1-source")
+    )
+    for net in (one_term, hardy_entangled_laser()):
+        assert t.validate(net) == []
+        with pytest.raises(ContractError, match="no atom beside it"):
+            t.two_laser_variant(net)
 
 
 # -- description files ----------------------------------------------------------------

@@ -17,7 +17,8 @@ from tisim.engine import AtomBasis, MeasurementContext, Outcome
 from tisim.pathnotation import PathExpression, surviving_detector_paths
 
 import oracle
-from netgen import random_network
+from netgen import random_network, reshaped_networks
+from test_network import assert_echo_identity
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 from cascade import cascade  # noqa: E402
@@ -75,6 +76,16 @@ def assert_path_sums_match_oracle(network) -> None:
             want = oracle.detector_amplitude(network, final, det.id, combo)
             got = open_sums.get(combo, 0.0) * initial[tuple(index)]
             assert abs(got - want) <= TOL, f"{network.name}: path sum at {det.id} for {combo}"
+
+
+@pytest.mark.simd
+@pytest.mark.parametrize("shape", ["one-source", "entangled-laser"])
+def test_engine_matches_oracle_on_both_emitter_shapes(shape):
+    for net in reshaped_networks(shape, 20261021, 50):
+        assert t.validate(net) == []
+        assert_echo_identity(net)
+        assert_matches_oracle(net)
+        assert_path_sums_match_oracle(net)
 
 
 def netgen_networks():

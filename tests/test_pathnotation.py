@@ -9,6 +9,8 @@ from tisim.errors import PathSyntaxError, ResolutionError, StructuralError
 from tisim.network import BeamSplitter, Mirror
 from tisim.pathnotation import PathExpression, PathKet, PathSegment, format_term
 
+from netgen import hardy_entangled_laser
+
 RT2 = math.sqrt(2.0)
 
 
@@ -254,6 +256,15 @@ def test_survivor_set_is_exactly_the_matched_pairs(qle):
     routes_mm, total_mm = by_assignment[("-", "-")]
     assert len(routes_mm) == 1 and not routes_mm[0].segments[1].reflected
     assert abs(total_mm - 0.5) < 1e-12
+
+
+def test_laser_entangled_with_an_atom_walks_each_route_once():
+    net = hardy_entangled_laser()
+    paths = t.enumerate_paths(net)
+    assert len(paths) == len(set(paths)) == 4
+    ((assignment, routes, total),) = t.surviving_detector_paths(net, "D")
+    assert assignment == ("+",) and len(routes) == 1
+    assert abs(total - (-0.5)) < 1e-12
 
 
 def test_mirror_phase_enters_route_amplitude():
