@@ -605,18 +605,24 @@ def pair_contexts(network: Network, settings: ChshSettings):
         yield key, ctx
 
 
-def pair_correlation(network: Network, dist: OutcomeDistribution) -> float | None:
-    """The sum of the candidates' weights, each signed + where the two
-    atoms read alike and - where not.  An atom reads +1 on the first symbol of the basis it
-    was measured in and -1 on the second: the context's basis (``dist.atom_space``), or z
-    for the atom the photon left excited.  None unless the network has exactly two atoms,
-    of two symbols each."""
+def _alike(network: Network, dist: OutcomeDistribution) -> list[bool] | None:
+    """Per outcome, whether the two atoms read alike.  An atom reads +1 on the first symbol
+    of the basis it was measured in and -1 on the second: the context's basis
+    (``dist.atom_space``), or z for the atom the photon left excited.  None unless the
+    network has exactly two atoms, of two symbols each."""
     atoms = network.atoms()
     if len(atoms) != 2 or any(len(a.basis) != 2 for a in atoms):
         return None
     z, measured = {a.id: a.basis[0] for a in atoms}, {a.id: a.basis[0] for a in dist.atom_space}
     first = ([sym == (z if atom == o.excited else measured)[atom] for atom, sym in o.atoms] for o in dist.outcomes)
-    return _total(w if a == b else -w for (a, b), w in zip(first, dist.weights))
+    return [a == b for a, b in first]
+
+
+def pair_correlation(network: Network, dist: OutcomeDistribution) -> float | None:
+    """The sum of the candidates' weights, each signed + where the two atoms read
+    alike (``_alike``) and - where not; None where ``_alike`` is."""
+    alike = _alike(network, dist)
+    return None if alike is None else _total(w if a else -w for a, w in zip(alike, dist.weights))
 
 
 def chsh(network: Network, settings: ChshSettings, post: str = "D") -> ChshResult:
@@ -647,10 +653,9 @@ def chsh_monte_carlo(
     for lane, (key, conditional) in enumerate(distributions.items()):
         n = pairs // 4 + (1 if lane < pairs % 4 else 0)
         tally = _tally(_flat_table(conditional), seed, 100 + lane, 0, n, workers)
-        sampled = replace(conditional, weights=tuple(tally.tolist()))
-        balance = int(pair_correlation(network, sampled))  # same - different, exact
-        counts[key] = ((n + balance) // 2, (n - balance) // 2)
-        correlations[key] = balance / n
+        same = sum(c for c, alike in zip(tally.tolist(), _alike(network, conditional)) if alike)  # Python ints: exact
+        counts[key] = (same, n - same)
+        correlations[key] = (2 * same - n) / n
     return ChshResult(correlations, settings, distributions, counts)
 
 

@@ -23,7 +23,6 @@ Conventions, fixed once for the whole package:
 
 from __future__ import annotations
 
-import graphlib
 import json
 import math
 from dataclasses import dataclass, fields
@@ -392,10 +391,9 @@ def validate(network: Network) -> list[Diagnostic]:
 
     produced, consumed, intersected = _symbol_table(network)
     basis = set(photon.basis)
-    for table in (produced, consumed, intersected):
-        for sym, els in table.items():
-            if sym not in basis:
-                add_diag(els[0].id, "unknown-symbol", f"photon symbol {sym!r} not declared in the photon basis")
+    for sym, els in produced.items():  # a consumed or boxed symbol is reported at its producer, or as unproduced
+        if sym not in basis:
+            add_diag(els[0].id, "unknown-symbol", f"photon symbol {sym!r} not declared in the photon basis")
 
     for table, verb, who in ((consumed, "consumed", ""), (intersected, "intersected", "boxes ")):
         for sym, els in table.items():
@@ -440,7 +438,7 @@ def validate(network: Network) -> list[Diagnostic]:
     if terminals * spins > REGISTER_MAX:
         add_diag(None, "register-size", f"{terminals} terminal(s) x {spins} spin configurations exceed {REGISTER_MAX} register entries")
 
-    # rank monotonicity along every edge, boxes strictly between producer and consumer
+    # ranks rise strictly along every edge, boxes strictly between producer and consumer: so no element cycle
     for earlier, later, flag_later, rule in (
         (produced, consumed, True, "consumer rank must exceed producer rank"),
         (produced, intersected, True, "box rank must exceed producer rank"),
@@ -451,20 +449,6 @@ def validate(network: Network) -> list[Diagnostic]:
                 for b in lates:
                     if a.rank >= b.rank:
                         add_diag((b if flag_later else a).id, "rank-order", f"symbol {sym!r}: {rule}")
-
-    # acyclicity, independent of ranks
-    graph: dict[str, set[str]] = {e.id: set() for e in network.elements}
-    for sym, cons in consumed.items():
-        chain = intersected.get(sym, []) + cons
-        for p in produced.get(sym, []):
-            graph[chain[0].id].add(p.id)
-        for a, b in zip(chain, chain[1:]):
-            graph[b.id].add(a.id)
-    try:
-        tuple(graphlib.TopologicalSorter(graph).static_order())
-    except graphlib.CycleError as err:
-        cycle = err.args[1]
-        add_diag(None, "acyclic", f"element cycle detected: {' -> '.join(cycle)}")
 
     return diags
 
@@ -739,9 +723,8 @@ def two_laser_variant(network: Network) -> Network:
     if splitter is None:
         raise ContractError("no beam splitter fed exclusively by the photon emitter")
 
-    out0, out1 = splitter.outputs
     new_emitters = []
-    for sym, factor in ((out0, _R), (out1, _T)):
+    for sym, factor in splitter.forward_map()[inputs[0]]:
         state = _apply_symbol_map(emitter.state, 0, {inputs[0]: [(sym, factor)]})
         new_emitters.append(Emitter(id=f"{emitter.id}-{sym}", rank=emitter.rank, state=state))
     elements = tuple(

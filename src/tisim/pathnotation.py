@@ -2,9 +2,9 @@
 
 A path ket traces an offer-wave component from a source label to a detector
 label through the elements it meets, e.g. ``|L-S1-B-S2-D>``.  A beam-splitter
-label wrapped in underscores marks a reflection there (phase ``i``); plain
-labels transmit.  Each beam-splitter segment contributes ``1/sqrt(2)`` in
-modulus, mirrors contribute their phase, all other labels are inert.  A
+label wrapped in underscores marks a reflection there, factor ``network._R``
+(i/sqrt(2)); plain labels transmit, factor ``network._T`` (1/sqrt(2)).  Mirrors
+contribute their phase, all other labels are inert.  A
 trailing two-symbol ket such as ``|++>`` tags the expression with an atomic
 state; the tag is inert for amplitude evaluation.
 
@@ -25,14 +25,13 @@ labels and element ids need not coincide.
 from __future__ import annotations
 
 import itertools
-import math
 import re
 from dataclasses import dataclass
 from typing import Mapping
 
 from .amplitudes import TOL, _total
 from .errors import PathSyntaxError, ResolutionError, StructuralError
-from .network import BeamSplitter, Detector, Emitter, Mirror, Network, _emitted_symbols, _symbol_table
+from .network import BeamSplitter, Detector, Emitter, Mirror, Network, _R, _T, _emitted_symbols, _symbol_table
 
 _MINUS = ("-", "−")  # tuples: the "" that peek() reads at the end of the text is in every string
 _SIGNS = ("+", *_MINUS)
@@ -201,8 +200,6 @@ def format_expression(expr: PathExpression) -> str:
 
 # -- evaluation against a network ------------------------------------------------
 
-_SPLIT = 1.0 / math.sqrt(2.0)
-
 
 def _resolve(network: Network, label: str, aliases: Mapping[str, str] | None):
     target = (aliases or {}).get(label, label)
@@ -226,7 +223,7 @@ def amplitude(
     value = term.coefficient
     for seg, element in zip(term.segments, elements):
         if isinstance(element, BeamSplitter):
-            value *= _SPLIT * (1j if seg.reflected else 1.0)
+            value *= _R if seg.reflected else _T
         elif seg.reflected:
             raise StructuralError(f"reflection marker on non-beam-splitter label {seg.label!r}")
         elif isinstance(element, Mirror):
@@ -266,10 +263,8 @@ def enumerate_paths(network: Network) -> list[PathKet]:
         elif isinstance(consumer, Mirror):
             walk(consumer.output, segments + (PathSegment(consumer.id),))
         elif isinstance(consumer, BeamSplitter):
-            side = consumer.inputs.index(symbol)
-            for out_i, out_sym in enumerate(consumer.outputs):
-                reflected = out_i == side
-                walk(out_sym, segments + (PathSegment(consumer.id, reflected=reflected),))
+            for out_sym, factor in consumer.forward_map()[symbol]:
+                walk(out_sym, segments + (PathSegment(consumer.id, reflected=factor == _R),))
 
     for emitter in network.photon_emitters():
         for symbol in _emitted_symbols(emitter):

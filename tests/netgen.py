@@ -21,7 +21,7 @@ from tisim.network import (
     network_to_dict,
     two_laser_variant,
 )
-from tisim.scenarios import hardy_network, qle_network
+from tisim.scenarios import ev_bomb_network, hardy_network, qle_network
 
 
 def random_network(rng: np.random.Generator, index: int) -> Network:
@@ -274,3 +274,62 @@ def hardy_entangled_laser() -> Network:
     state = Ket(hardy.subsystems, {("s", "+", "0"): 1 / math.sqrt(2.0), ("s", "-", "0"): 1j / math.sqrt(2.0)})
     elements = tuple(Emitter("L", 0, state) if e.id == "L" else e for e in hardy.elements if e.id != "atom1-source")
     return dataclasses.replace(hardy, elements=elements)
+
+
+def loop_network() -> Network:
+    """A laser into a splitter ``S1`` whose second input ``a`` is put out by a later
+    splitter ``S2``, fed from ``S1``: the element cycle S1 -> S2 -> S1.  Its ranks
+    cannot rise along both edges, so ``S1`` consuming ``a`` before ``S2`` produces it
+    is the one invariant it breaks."""
+    photon = SubsystemSpec("photon", "photon-path", ("s", "a", "b", "x", "y"))
+    return Network(
+        "loop",
+        (photon,),
+        (
+            Emitter("L", 0, unit((photon,), ("s",))),
+            BeamSplitter("S1", 1, ("s", "a"), ("b", "x")),
+            BeamSplitter("S2", 2, ("b",), ("a", "y")),
+            Detector("DX", 3, "x"),
+            Detector("DY", 3, "y"),
+        ),
+    )
+
+
+def rewired_networks(seed: int, count: int) -> list[Network]:
+    """``count`` builtin and ``random_network`` networks with their wiring redrawn.
+
+    Each splitter, mirror, detector and box is rewired with probability 0.3: every
+    port (a splitter's inputs and outputs, a mirror's input and output, a detector's
+    input, a box's path) is redrawn from the photon basis and two symbols outside it
+    (``q0``, ``q1``) with probability 0.5.  Each such element also draws a new rank
+    (0 to one past the highest) with probability 0.3, and takes another element's id
+    with probability 0.02.  So many results have element cycles, and some take or
+    put out symbols outside the basis.
+    """
+    rng = np.random.default_rng([seed, 2])
+    builtins = [hardy_network(), qle_network(), ev_bomb_network(True), ev_bomb_network(False)]
+    builtins.append(two_laser_variant(builtins[1]))
+    out: list[Network] = []
+    for index in range(count):
+        net = builtins[index] if index < len(builtins) else random_network(rng, index)
+        pool = (*net.photon.basis, "q0", "q1")
+        top = max(e.rank for e in net.elements) + 1
+        redraw = lambda sym: str(rng.choice(pool)) if rng.random() < 0.5 else sym
+        elements = []
+        for e in net.elements:
+            if not isinstance(e, Emitter) and rng.random() < 0.3:
+                if isinstance(e, BeamSplitter):
+                    e = dataclasses.replace(e, inputs=tuple(map(redraw, e.inputs)), outputs=tuple(map(redraw, e.outputs)))
+                elif isinstance(e, Mirror):
+                    e = dataclasses.replace(e, input=redraw(e.input), output=redraw(e.output))
+                elif isinstance(e, Detector):
+                    e = dataclasses.replace(e, input=redraw(e.input))
+                else:
+                    e = dataclasses.replace(e, path=redraw(e.path))
+                if rng.random() < 0.3:
+                    e = dataclasses.replace(e, rank=int(rng.integers(0, top + 1)))
+                if rng.random() < 0.02:
+                    e = dataclasses.replace(e, id=net.elements[int(rng.integers(len(net.elements)))].id)
+            elements.append(e)
+        out.append(dataclasses.replace(net, name=f"{net.name}-rewired-{index}", elements=tuple(elements)))
+    return out

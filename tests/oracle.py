@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from tisim.network import AtomBox, BeamSplitter, Detector, Mirror, Network
+from tisim.network import AtomBox, BeamSplitter, Detector, Emitter, Mirror, Network
 
 R = 1j / math.sqrt(2.0)  # reflection
 T = 1.0 / math.sqrt(2.0)  # transmission
@@ -30,6 +30,14 @@ def _pos(network: Network, subsystem: str, symbol: str) -> int:
     return network.subsystems[_axis(network, subsystem)].basis.index(symbol)
 
 
+def emitter_array(e: Emitter) -> np.ndarray:
+    """An emitter's amplitudes, with an axis per subsystem it emits, in its order."""
+    local = np.zeros([len(s.basis) for s in e.state.space], dtype=complex)
+    for label, amp in e.state.items():
+        local[tuple(s.basis.index(sym) for s, sym in zip(e.state.space, label))] += amp
+    return local
+
+
 def initial_state(network: Network) -> np.ndarray:
     """Every emitter's amplitudes as one array; photon emitters add coherently.
 
@@ -38,9 +46,7 @@ def initial_state(network: Network) -> np.ndarray:
     photon = network.subsystems[0]
     photon_amps, factors, order = 0.0, [], []
     for e in network.emitters():
-        local = np.zeros([len(s.basis) for s in e.state.space], dtype=complex)
-        for label, amp in e.state.items():
-            local[tuple(s.basis.index(sym) for s, sym in zip(e.state.space, label))] += amp
+        local = emitter_array(e)
         if any(s.id == photon.id for s in e.state.space):
             photon_amps, photon_space = photon_amps + local, [s.id for s in e.state.space]
         else:

@@ -528,6 +528,30 @@ def test_chsh_monte_carlo_estimate(qle):
     assert sum(sum(v) for v in result.counts.values()) == 1_000_000
 
 
+def test_chsh_counts_are_exact_past_float_precision(monkeypatch, qle):
+    """Same and different are counted as integers: a split of 2**62 pairs that a float
+    sum would round to (2**61, 2**61) is read exactly."""
+    import tisim.engine as engine
+
+    settings = ChshSettings(
+        a=(0.0, 0.0), a_prime=(math.pi / 2, 0.0), b=(math.pi / 4, 0.0), b_prime=(3 * math.pi / 4, 0.0)
+    )
+    labels = [o.label for o in t.chsh(qle, settings).distributions["ab"].outcomes]
+
+    def tally(table, seed, lane, start, trials, workers=1):
+        counts = np.zeros(table.born.size, dtype=np.int64)
+        if lane == 100:  # ab
+            counts[labels.index("D|n+;n+")], counts[labels.index("D|n+;n-")] = 2**61 + 1, 2**61 - 1
+        else:
+            counts[0] = trials
+        return counts
+
+    monkeypatch.setattr(engine, "_tally", tally)
+    result = t.chsh_monte_carlo(qle, settings, pairs=4 * 2**62, seed=12)
+    assert result.counts["ab"] == (2**61 + 1, 2**61 - 1)
+    assert result.correlations["ab"] == 2 / 2**62
+
+
 def test_chsh_requires_two_atoms(hardy):
     z = (0.0, 0.0)
     with pytest.raises(ContractError):

@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import graphlib
 import json
 import math
 
@@ -8,20 +9,22 @@ import pytest
 
 import tisim as t
 from tisim import network as network_module
-from tisim.amplitudes import SubsystemSpec, _apply_symbol_map, scale, unit
+from tisim.amplitudes import _apply_symbol_map, scale, unit
 from tisim.errors import ContractError, ValidationError
-from tisim.network import AtomBox, BeamSplitter, Detector, Emitter, Network, _ket_to_json, _parse_network, emitted_state
+from tisim.network import AtomBox, BeamSplitter, Detector, Emitter, Mirror, _ket_to_json, _parse_network, emitted_state
 from netgen import (
     definite_spins,
     hardy_emitting_excited_levels,
     hardy_entangled_laser,
     hardy_two_source_unequal_photon_spaces,
+    loop_network,
     qle_emitting_level_first,
     qle_emitting_undeclared_spin,
     qle_two_atom_source,
     qle_with_mirror,
     qle_with_three_outputs,
     random_network,
+    rewired_networks,
 )
 
 RT2 = math.sqrt(2.0)
@@ -41,23 +44,61 @@ def test_builtin_networks_validate_clean(hardy, qle, bomb_present, bomb_absent):
         assert t.validate(net) == []
 
 
-def test_cycle_yields_one_acyclicity_diagnostic():
-    photon = SubsystemSpec("photon", "photon-path", ("s", "a", "b", "x", "y"))
-    net = Network(
-        "loop",
-        (photon,),
-        (
-            Emitter("L", 0, unit((photon,), ("s",))),
-            BeamSplitter("S1", 1, ("s", "a"), ("b", "x")),
-            BeamSplitter("S2", 2, ("b",), ("a", "y")),
-            Detector("DX", 3, "x"),
-            Detector("DY", 3, "y"),
-        ),
-    )
-    diags = t.validate(net)
-    cyclic = [d for d in diags if d.rule == "acyclic"]
-    assert len(cyclic) == 1
-    assert "cycle" in cyclic[0].message
+def test_cycle_yields_one_rank_order_diagnostic():
+    assert [str(d) for d in t.validate(loop_network())] == [
+        "rank-order [S1]: symbol 'a': consumer rank must exceed producer rank"
+    ]
+
+
+def photon_ports(e) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The photon symbols an element takes (consumes, or a box sits on) and puts out, read off its fields."""
+    if isinstance(e, Emitter):
+        slots = [i for i, s in enumerate(e.state.space) if s.kind == "photon-path"]
+        return (), tuple({label[i] for i in slots for label in e.state.terms})
+    if isinstance(e, BeamSplitter):
+        return e.inputs, e.outputs
+    if isinstance(e, Mirror):
+        return (e.input,), (e.output,)
+    return (e.path if isinstance(e, AtomBox) else e.input,), ()
+
+
+def test_rewired_networks_with_a_cycle_or_an_unknown_symbol_are_refused_by_the_other_rules():
+    """Every element cycle draws rank-order, consumed-twice or element-ids, and every
+    consumed or boxed symbol outside the photon basis draws unproduced-symbol or an
+    unknown-symbol at its producer.  The element graph runs producer -> box -> consumer
+    on each symbol, over element ids, so two elements with one id are one node."""
+    cyclic = unknown = unproduced = 0
+    for net in rewired_networks(20261021, 3000):
+        diags, basis = t.validate(net), set(net.photon.basis)
+        producers: dict[str, set[str]] = {}
+        boxes: dict[str, set[str]] = {}
+        for e in net.elements:
+            for sym in photon_ports(e)[1]:
+                producers.setdefault(sym, set()).add(e.id)
+            if isinstance(e, AtomBox):
+                boxes.setdefault(e.path, set()).add(e.id)
+        graph = {e.id: set() for e in net.elements}
+        for e in net.elements:
+            for sym in photon_ports(e)[0]:
+                graph[e.id] |= producers.get(sym, set())
+                if not isinstance(e, AtomBox):
+                    graph[e.id] |= boxes.get(sym, set())
+                if sym not in basis:
+                    quoted = repr(sym)
+                    unknown += 1
+                    unproduced += sym not in producers
+                    assert any(
+                        quoted in d.message
+                        and (d.rule == "unproduced-symbol" or d.rule == "unknown-symbol" and d.element in producers.get(sym, ()))
+                        for d in diags
+                    ), f"{net.name}: {quoted} taken by {e.id}: {[str(d) for d in diags]}"
+        try:
+            graphlib.TopologicalSorter(graph).prepare()
+        except graphlib.CycleError:
+            cyclic += 1
+            assert {d.rule for d in diags} & {"rank-order", "consumed-twice", "element-ids"}, f"{net.name}: {[str(d) for d in diags]}"
+    # the sample has many cycles, and unknown symbols both with a producer and without one
+    assert cyclic > 100 and 0 < unproduced < unknown, (cyclic, unproduced, unknown)
 
 
 def test_double_box_on_one_path_is_flagged(qle):

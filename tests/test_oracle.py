@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 
 import tisim as t
+from tisim.amplitudes import unit
 from tisim.engine import AtomBasis, MeasurementContext, Outcome
 from tisim.pathnotation import PathExpression, surviving_detector_paths
 
 import oracle
-from netgen import random_network, reshaped_networks
+from netgen import hardy_entangled_laser, qle_two_atom_source, random_network, reshaped_networks
 from test_network import assert_echo_identity
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -86,6 +87,25 @@ def test_engine_matches_oracle_on_both_emitter_shapes(shape):
         assert_echo_identity(net)
         assert_matches_oracle(net)
         assert_path_sums_match_oracle(net)
+
+
+@pytest.mark.simd
+def test_atom_source_shares_match_the_oracle(hardy, qle, bomb_present):
+    """Each atom source's ``sector_amplitudes`` entry, for every terminal and z bras,
+    is its dense emitted array read at the bras' symbols, levels at ground."""
+    nets = [hardy, qle, bomb_present, t.two_laser_variant(qle), qle_two_atom_source(), hardy_entangled_laser()]
+    nets += reshaped_networks("one-source", 20261021, 50) + reshaped_networks("entangled-laser", 20261021, 50)
+    for net in nets:
+        atoms, sources = net.atoms(), [e for e in net.emitters() if e not in net.photon_emitters()]
+        for symbol in net.terminal_symbols():
+            confirmation = unit((net.photon,), (symbol,), bra=True)
+            for combo in itertools.product(*(a.basis for a in atoms)):
+                bras = {a.id: unit((a,), (sym,), bra=True) for a, sym in zip(atoms, combo)}
+                sectors = t.backward_propagate(net, confirmation, bras).sector_amplitudes
+                z = {a.id: a.basis.index(sym) for a, sym in zip(atoms, combo)}
+                for e in sources:
+                    want = oracle.emitter_array(e)[tuple(z[s.id] if s.kind == "atom-spin" else 0 for s in e.state.space)]
+                    assert abs(sectors[e.id] - want) <= TOL, f"{net.name}: {e.id} at {symbol} for {combo}"
 
 
 def netgen_networks():
